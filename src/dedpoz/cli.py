@@ -11,9 +11,9 @@ import sys
 from .bnb import FEASIBLE_TIME_LIMIT
 from .engine import IaConfig, solve_ded_no_loss, solve_ded_with_loss
 from .errors import InfeasibleError, ValidationError
-from .io import (CSV_AUDIT_TOL, duplicate_system, feasibility_to_dict,
-                 load_instance, read_schedule_csv, write_report_json,
-                 write_schedule_csv)
+from .io import (CSV_AUDIT_TOL, audit_checks, duplicate_system,
+                 feasibility_to_dict, load_instance, read_schedule_csv,
+                 write_report_json, write_schedule_csv)
 from .system import evaluate_violations
 
 EXIT_OK = 0
@@ -93,6 +93,8 @@ def _cmd_solve(args) -> int:
     print(f"cost: {report.cost:.4f} $")
     print(f"surrogate objective: {report.surrogate_objective:.4f} $")
     print(f"max balance violation: {report.max_violation:.6f} MW")
+    failed = [name for name, ok in audit_checks(report.audit).items() if not ok]
+    print(f"audit: FAILED ({', '.join(failed)})" if failed else "audit: feasible")
     if report.terminated_by is not None:
         print(f"terminated by: {report.terminated_by} "
               f"(pass {report.chosen_k} of {len(report.iterations)})")

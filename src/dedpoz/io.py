@@ -275,6 +275,12 @@ def _anchor_note(iteration) -> str:
     return "midpoint of the previous two dispatches"
 
 
+def audit_checks(audit) -> dict:
+    """Pass/fail of each audit check, keyed as in a report's ``feasible``."""
+    return {"bounds": audit.bounds_ok, "poz": audit.poz_ok,
+            "ramp": audit.ramp_ok, "reserve": audit.reserve_ok}
+
+
 def report_to_dict(report) -> dict:
     """JSON-friendly view of a DispatchReport."""
     audit = report.audit
@@ -286,10 +292,7 @@ def report_to_dict(report) -> dict:
         "losses": report.losses.tolist(),
         "terminated_by": report.terminated_by,
         "chosen_pass": report.chosen_k,
-        "feasible": {
-            "bounds": audit.bounds_ok, "poz": audit.poz_ok,
-            "ramp": audit.ramp_ok, "reserve": audit.reserve_ok,
-        },
+        "feasible": audit_checks(audit),
         "milp": {
             "status": report.milp.status,
             "best_bound": report.milp.best_bound,

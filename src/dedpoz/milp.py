@@ -167,16 +167,6 @@ class VarMap:
                 sr[t, i] = max(values[self.sr[i][t]], 0.0)
         return Schedule(p=p, sr=sr)
 
-    def segment_choice(self, values) -> np.ndarray:
-        """Chosen segment (0-based, by largest selector value) per period/unit."""
-        values = np.asarray(values, dtype=float)
-        out = np.empty((self.n_periods, self.n_units), dtype=int)
-        for i in range(self.n_units):
-            for t in range(self.n_periods):
-                sel = [values[j] for j in self.u_seg[i][t]]
-                out[t, i] = int(np.argmax(sel))
-        return out
-
 
 @dataclass(frozen=True)
 class TangentPlan:

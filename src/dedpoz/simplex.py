@@ -16,9 +16,19 @@ Revised simplex with an explicit basis inverse.  Design points:
   makes a re-solve of an already-optimal basis cost zero pivots;
 * pricing takes the largest reduced cost scaled by column norm, with a
   switch to Bland's rule after 1,000 degenerate steps;
+* most basic columns are slacks or artificials, i.e. unit vectors, so a
+  refactorization inverts only the kernel: the structural basic columns
+  restricted to the rows no unit column covers.  The rest of the inverse
+  follows from the kernel inverse by block elimination;
+* between refactorizations the inverse takes a rank-1 update per pivot,
+  applied only where the entering column and the pivot row are nonzero
+  (both are sparse on dispatch models);
 * the iterate and reduced costs are updated per pivot and recomputed from
   scratch at every refactorization (a few dozen pivots apart, tighter after
-  a numerical restart), which bounds drift.
+  a numerical restart), which bounds drift;
+* an optimal exit is trusted only after the iterate, recomputed from a
+  fresh factorization, meets its bounds; otherwise dual then primal simplex
+  repair it, and a basis that cannot be repaired is not reported optimal.
 """
 
 from dataclasses import dataclass
@@ -180,16 +190,13 @@ class PreparedLp:
         out[n + m:] = y
         return out
 
-    def basis_matrix(self, basic: np.ndarray) -> np.ndarray:
-        n, m = self.n_struct, self.m
-        bm = np.zeros((m, m))
-        for k, j in enumerate(basic):
-            if j < n:
-                s, e = self.col_ptr[j], self.col_ptr[j + 1]
-                bm[self.col_rows[s:e], k] = self.col_vals[s:e]
-            else:
-                bm[(j - n) % m, k] = 1.0
-        return bm
+    def structural_columns(self, cols: np.ndarray) -> np.ndarray:
+        """Dense m x len(cols) block of the given structural columns."""
+        out = np.zeros((self.m, len(cols)))
+        for k, j in enumerate(cols):
+            s, e = self.col_ptr[j], self.col_ptr[j + 1]
+            out[self.col_rows[s:e], k] = self.col_vals[s:e]
+        return out
 
     def solve(self, lower=None, upper=None, warm_start=None,
               max_iters=DEFAULT_MAX_ITERS) -> LpSolution:
@@ -217,7 +224,6 @@ class _Run:
         self.status = np.empty(prep.ncols, dtype=np.int8)
         self.basic = np.empty(prep.m, dtype=np.int64)
         self.b_inv = np.empty((prep.m, prep.m))
-        self._rank1 = np.empty((prep.m, prep.m))
         # rank-1 updates of an explicit inverse drift on degenerate dispatch
         # bases; keep the refactorization window small enough that the drift
         # never steers the pivot path (long windows have produced singular
@@ -235,19 +241,45 @@ class _Run:
     # ----- state helpers ---------------------------------------------------
 
     def _factor(self) -> bool:
+        """Invert the basis through its structural kernel.
+
+        With S the structural basic positions, U the unit (slack or
+        artificial) ones, ``ru`` the rows U covers and K the rest, the
+        inverse is A[K,S]^-1 on (S,K), -A[ru,S] A[K,S]^-1 on (U,K), the
+        identity on (U,ru) and zero elsewhere.
+        """
+        prep = self.prep
+        n, m = prep.n_struct, prep.m
+        unit = self.basic >= n
+        s_pos = np.flatnonzero(~unit)
+        u_pos = np.flatnonzero(unit)
+        ru = (self.basic[u_pos] - n) % m
+        covered = np.zeros(m, dtype=bool)
+        covered[ru] = True
+        if np.count_nonzero(covered) != ru.size:
+            return False  # a row covered twice: the basis is singular
+        k_rows = np.flatnonzero(~covered)
+        cols = prep.structural_columns(self.basic[s_pos])
         try:
-            self.b_inv = np.linalg.inv(self.prep.basis_matrix(self.basic))
+            kernel_inv = np.linalg.inv(cols[k_rows])
         except np.linalg.LinAlgError:
             return False
-        if not np.all(np.isfinite(self.b_inv)):
+        if not np.all(np.isfinite(kernel_inv)):
             return False
+        b_inv = np.zeros((m, m))
+        b_inv[np.ix_(s_pos, k_rows)] = kernel_inv
+        b_inv[np.ix_(u_pos, k_rows)] = -(cols[ru] @ kernel_inv)
+        b_inv[u_pos, ru] = 1.0
+        self.b_inv = b_inv
         self.since_refactor = 0
         return True
 
     def _update_b_inv(self, w, r):
+        # the entries skipped here would subtract an exact zero
         row = self.b_inv[r] / w[r]
-        np.multiply(w[:, None], row[None, :], out=self._rank1)
-        np.subtract(self.b_inv, self._rank1, out=self.b_inv)
+        rows = np.flatnonzero(w)
+        cols = np.flatnonzero(row)
+        self.b_inv[np.ix_(rows, cols)] -= np.multiply.outer(w[rows], row[cols])
         self.b_inv[r] = row
         self.since_refactor += 1
 
@@ -584,18 +616,35 @@ class _Run:
             status = self._warm(prep.c)
         else:
             status = self._cold(prep.c)
-        while status == _RESTART:
-            if self.restarts >= 2:
+        repairs = 0
+        while True:
+            while status == _RESTART:
+                if self.restarts >= 2:
+                    status = ITERATION_LIMIT
+                    break
+                self.restarts += 1
+                # a cold start replays the same pivots, so a bare retry would
+                # livelock; refactorizing more often changes the path
+                self.refactor_every = max(5, self.refactor_every // 4)
+                status = self._cold(prep.c)
+            if self.since_refactor > 0:
+                self._factor()
+            x = self._compute_x()
+            if status != OPTIMAL:
+                break
+            # the updated iterate can drift from the one the basis defines;
+            # check the recomputed one before calling it optimal
+            xb = x[self.basic]
+            if np.all((xb >= self.lo[self.basic] - FEAS_TOL)
+                      & (xb <= self.hi[self.basic] + FEAS_TOL)):
+                break
+            if repairs == 2:
                 status = ITERATION_LIMIT
                 break
-            self.restarts += 1
-            # a cold start replays the same pivots, so a bare retry would
-            # livelock; refactorizing more often changes the path
-            self.refactor_every = max(5, self.refactor_every // 4)
-            status = self._cold(prep.c)
-        if self.since_refactor > 0:
-            self._factor()
-        x = self._compute_x()
+            repairs += 1
+            status = self._dual(prep.c)
+            if status == OPTIMAL:
+                status = self._primal(prep.c)
         y = self.b_inv.T @ prep.c[self.basic]
         resid = float(np.abs(prep.ax(x) - prep.b).max(initial=0.0))
         values = x[:prep.n_struct].copy()

@@ -30,6 +30,19 @@ def make_unit(uid=1, alpha=5.0, beta=2.0, gamma=0.01, p_min=10.0, p_max=50.0,
         p_initial=p_initial)
 
 
+def symmetric_three_unit():
+    """Three identical units with one prohibited zone each; the optimum is
+    the equal split of demand."""
+    units = tuple(
+        GeneratingUnit(id=i + 1, alpha=5.0, beta=2.0, gamma=0.008,
+                       p_min=10.0, p_max=50.0, ramp_up=40.0, ramp_down=40.0,
+                       prohibited_zones=((15.0, 20.0),))
+        for i in range(3))
+    demand = np.array([90.0, 105.0, 120.0])
+    return SystemInstance(units=units, demand=demand,
+                          reserve=0.05 * demand)
+
+
 def loop_cost(instance, p):
     """Quadratic production cost summed with plain python loops."""
     total = 0.0

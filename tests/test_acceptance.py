@@ -20,7 +20,8 @@ from dedpoz import (BnbConfig, GeneratingUnit, IaConfig, LossModel, Schedule,
                     duplicate_system, evaluate_violations, load_instance,
                     solve_ded_no_loss, solve_ded_with_loss, solve_milp)
 from dedpoz.oracle import dp_error_bound
-from support import loop_cost, random_lossless_instance, random_lossy_instance
+from support import (loop_cost, random_lossless_instance, random_lossy_instance,
+                     symmetric_three_unit)
 
 DP_DELTA = 0.05
 
@@ -210,19 +211,8 @@ def test_criterion_6_bnb_determinism_and_bounds():
                  f"bound below incumbent at every logged node")
 
 
-def _symmetric_three_unit():
-    units = tuple(
-        GeneratingUnit(id=i + 1, alpha=5.0, beta=2.0, gamma=0.008,
-                       p_min=10.0, p_max=50.0, ramp_up=40.0, ramp_down=40.0,
-                       prohibited_zones=((15.0, 20.0),))
-        for i in range(3))
-    demand = np.array([90.0, 105.0, 120.0])
-    return SystemInstance(units=units, demand=demand,
-                          reserve=0.05 * demand)
-
-
 def test_criterion_7_duplication_scaling():
-    base = _symmetric_three_unit()
+    base = symmetric_three_unit()
     cfg = IaConfig(gap=1e-6, tangent_steps=10)
     base_cost = solve_ded_no_loss(base, cfg).cost
 

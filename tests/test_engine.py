@@ -1,5 +1,7 @@
 """End-to-end dispatch driver tests, lossless and lossy."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from dedpoz import (
     LossModel,
     SystemInstance,
     evaluate_cost,
+    evaluate_violations,
+    load_instance,
     midpoint_anchor,
     solve_ded_no_loss,
     solve_ded_with_loss,
@@ -235,3 +239,19 @@ def test_reported_losses_match_direct_evaluation():
         direct = loop_loss_mw(instance.loss_model, report.schedule.p[t])
         assert report.losses[t] == pytest.approx(direct, rel=1e-9, abs=1e-12)
     assert evaluate_cost(instance, report.schedule) == report.cost
+
+
+def test_root_lp_drift_does_not_yield_a_false_optimum():
+    # a 3x3 instance whose cold root LP once pivoted on a 1e-8 entry, drifted,
+    # and came back "optimal" with p(0,1) 1.36 MW below its lower bound
+    instance = load_instance(Path(__file__).parent / "fixtures"
+                             / "small_batch_s167_seed107.json")
+    config = IaConfig(gap=1e-4, tangent_steps=4)
+    report = solve_ded_no_loss(instance, config)
+    assert report.milp.status == "optimal_within_gap"
+    assert evaluate_violations(instance, report.schedule, use_loss=False,
+                               tol=1e-6).feasible
+    delta = 0.05
+    dp_cost = dp_exact_dispatch(instance, delta)[0]
+    allowed = config.gap * report.cost + dp_error_bound(instance, delta)
+    assert abs(report.cost - dp_cost) <= allowed

@@ -1,5 +1,6 @@
 """Instance files, schedule CSVs, report serialization, and the CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dedpoz import (IaConfig, Schedule, ValidationError, evaluate_loss_mw,
                     evaluate_violations, solve_ded_no_loss,
                     solve_ded_with_loss)
+from dedpoz import cli
 from dedpoz.cli import main
 from dedpoz.io import (CSV_AUDIT_TOL, duplicate_system, feasibility_to_dict,
                        instance_to_dict, load_instance, parse_instance,
@@ -455,6 +457,10 @@ def test_cli_solve_writes_outputs(tmp_path, capsys):
     assert rc == 0
     assert "cost:" in out and "milp status:" in out
     assert f"schedule written to {sched_out}" in out
+    lines = out.splitlines()
+    balance = next(k for k, line in enumerate(lines)
+                   if line.startswith("max balance violation:"))
+    assert lines[balance + 1] == "audit: feasible"
 
     with open(sched_out) as fh:
         assert fh.readline().strip() == "t,unit_1,unit_2,loss_mw"
@@ -467,6 +473,22 @@ def test_cli_solve_writes_outputs(tmp_path, capsys):
     audit = json.loads(capsys.readouterr().out)
     assert audit["feasible"] is True
     assert audit["tol"] == CSV_AUDIT_TOL
+
+
+def test_cli_solve_reports_failed_audit(tmp_path, capsys, monkeypatch):
+    # a schedule that fails the audit is named as such; the balance line
+    # alone cannot show it, and the exit code stays that of the solve
+    path = _write_json(tmp_path, instance_dict())
+    solve = cli.solve_ded_no_loss
+
+    def failing(instance, config):
+        report = solve(instance, config)
+        audit = dataclasses.replace(report.audit, bounds_ok=False, ramp_ok=False)
+        return dataclasses.replace(report, audit=audit)
+
+    monkeypatch.setattr(cli, "solve_ded_no_loss", failing)
+    assert main(["solve", "--instance", path]) == 0
+    assert "audit: FAILED (bounds, ramp)" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_milp_ia_needs_loss_model(tmp_path, capsys):

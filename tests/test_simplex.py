@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dedpoz import ValidationError, build_milp1
+from dedpoz import ValidationError, build_milp1, duplicate_system
 from dedpoz.milp import BINARY, CONTINUOUS, EQ, GE, LE, Constraint, MilpModel, Variable, lp_relaxation
 from dedpoz.simplex import (
+    DEFAULT_MAX_ITERS,
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
     PreparedLp,
+    _Run,
     solve_lp,
 )
-from support import enumeration_milp_min, random_lossless_instance, vertex_enumeration_min
+from support import (enumeration_milp_min, random_lossless_instance,
+                     symmetric_three_unit, vertex_enumeration_min)
 
 
 def lp(bounds, rows, objective, constant=0.0):
@@ -193,3 +198,147 @@ def test_dispatch_relaxation_is_a_lower_bound():
         # relaxing binaries can only lower the optimum
         best, _ = enumeration_milp_min(instance, model, varmap)
         assert sol.objective <= best + 1e-7
+
+
+# ----- basis kernel factorization and the sparse inverse update -------------
+
+def dense_basis(prep, basic):
+    """Basis matrix built from the coordinate arrays, independently of the
+    solver's own column builder."""
+    n, m = prep.n_struct, prep.m
+    full = np.zeros((m, prep.ncols))
+    full[prep.rows_nz, prep.cols_nz] = prep.vals_nz
+    full[np.arange(m), n + np.arange(m)] = 1.0
+    full[np.arange(m), n + m + np.arange(m)] = 1.0
+    return full[:, basic]
+
+
+def factored(prep, basic):
+    run = _Run(prep, None, None, None, DEFAULT_MAX_ITERS)
+    run.basic = np.asarray(basic, dtype=np.int64)
+    return run, run._factor()
+
+
+def ladder_root_lp(copies):
+    model = build_milp1(duplicate_system(symmetric_three_unit(), copies),
+                        tangent_steps=10)[0]
+    return PreparedLp(lp_relaxation(model))
+
+
+def test_kernel_factor_inverts_final_ladder_basis():
+    prep = ladder_root_lp(2)
+    sol = prep.solve()
+    assert sol.status == OPTIMAL
+    basic = sol.basis.basic_idx
+    assert 0 < np.count_nonzero(basic < prep.n_struct) < prep.m
+    run, ok = factored(prep, basic)
+    assert ok
+    np.testing.assert_allclose(run.b_inv @ dense_basis(prep, basic),
+                               np.eye(prep.m), rtol=0.0, atol=1e-9)
+
+
+def test_kernel_factor_inverts_random_unit_and_structural_mixes():
+    rng = np.random.default_rng(3)
+    n, m = 7, 9
+    rows = [([(j, float(rng.normal())) for j in range(n)], LE, 1.0)
+            for _ in range(m)]
+    prep = PreparedLp(lp([(0.0, 1.0)] * n, rows, [(0, 1.0)]))
+    for k in range(n + 1):
+        structural = rng.choice(n, size=k, replace=False)
+        covered = rng.choice(m, size=m - k, replace=False)
+        # each covered row gets its slack or its artificial at random
+        units = n + covered + m * rng.integers(0, 2, size=covered.size)
+        basic = rng.permutation(np.concatenate([structural, units]))
+        run, ok = factored(prep, basic)
+        assert ok
+        np.testing.assert_allclose(run.b_inv @ dense_basis(prep, basic),
+                                   np.eye(m), rtol=0.0, atol=1e-9)
+
+
+def test_kernel_factor_rejects_row_covered_twice():
+    prep = ladder_root_lp(1)
+    n, m = prep.n_struct, prep.m
+    basic = n + np.arange(m)
+    assert factored(prep, basic)[1]
+    basic[5] = n + m + 3  # the artificial of row 3 beside its slack
+    assert not factored(prep, basic)[1]
+
+
+def test_sparse_update_matches_dense_formula(monkeypatch):
+    sparse_update = _Run._update_b_inv
+    checked = []
+
+    def compare(run, w, r):
+        row = run.b_inv[r] / w[r]
+        expected = run.b_inv - np.outer(w, row)
+        expected[r] = row
+        sparse_update(run, w, r)
+        checked.append(np.array_equal(run.b_inv, expected))
+
+    monkeypatch.setattr(_Run, "_update_b_inv", compare)
+    ladder_root_lp(1).solve(max_iters=60)
+    assert len(checked) >= 45 and all(checked)
+
+
+# ----- every optimal exit meets its rows and bounds -------------------------
+
+HALVES = st.integers(-12, 12).map(lambda v: v / 2.0)
+
+
+@st.composite
+def bounded_lps(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    bounds = []
+    for _ in range(n):
+        lo = draw(HALVES)
+        bounds.append((lo, lo + draw(st.integers(0, 12)) / 2.0))
+    rows = []
+    for _ in range(m):
+        coeffs = [(j, c) for j in range(n) if (c := draw(HALVES)) != 0.0]
+        rows.append((coeffs or [(0, 1.0)], draw(st.sampled_from((LE, EQ, GE))),
+                     draw(HALVES)))
+    objective = [(j, draw(HALVES)) for j in range(n)]
+    return lp(bounds, rows, objective)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_lps())
+def test_every_optimal_meets_rows_and_bounds(model):
+    sol = PreparedLp(model).solve()
+    if sol.status == OPTIMAL:
+        _check_primal_feasible(model, sol.values, tol=1e-6)
+
+
+def test_optimal_exit_that_breaks_a_bound_is_repaired_or_withheld(monkeypatch):
+    rng = np.random.default_rng(6)
+    instance = random_lossless_instance(rng, n_units=2, n_periods=3)
+    model, varmap = build_milp1(instance, tangent_steps=3)
+    prep = PreparedLp(lp_relaxation(model))
+    base = prep.solve()
+    lo = np.array([v.lb for v in model.variables])
+    hi = np.array([v.ub for v in model.variables])
+    j = varmap.u_seg[0][0][0]
+    assert base.values[j] == pytest.approx(1.0)
+    lo[j] = hi[j] = 0.0
+    cold = prep.solve(lower=lo, upper=hi)
+    assert cold.status == OPTIMAL
+
+    # a dual phase that claims optimality without pivoting leaves the warm
+    # basis primal infeasible under the new bounds, as drift would
+    dual = _Run._dual
+    calls = []
+
+    def stale_first(run, c):
+        calls.append(c)
+        return OPTIMAL if len(calls) == 1 else dual(run, c)
+
+    monkeypatch.setattr(_Run, "_dual", stale_first)
+    warm = prep.solve(lower=lo, upper=hi, warm_start=base.basis)
+    assert len(calls) == 2
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+
+    monkeypatch.setattr(_Run, "_dual", lambda run, c: OPTIMAL)
+    stuck = prep.solve(lower=lo, upper=hi, warm_start=base.basis)
+    assert stuck.status == ITERATION_LIMIT
