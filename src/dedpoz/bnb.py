@@ -4,7 +4,9 @@ Node selection is best-bound with one depth-first plunge after each incumbent
 improvement.  Branching fixes the single most fractional binary (ties broken
 by lowest variable index, which the model builders lay out in unit, period,
 segment order).  Child LPs restart from the parent's basis via dual simplex.
-The search is deterministic: identical inputs explore identical trees.
+A point becomes the incumbent only if it meets every model row and bound,
+rows the LP left out of its working set included.  The search is
+deterministic: identical inputs explore identical trees.
 """
 
 import heapq
@@ -24,6 +26,7 @@ FEASIBLE_TIME_LIMIT = "feasible_time_limit"
 MILP_INFEASIBLE = "infeasible"
 
 PRUNE_EPS = 1e-9
+INCUMBENT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,14 @@ def rounding_heuristic(lp_values, varmap: VarMap) -> dict:
             for j, idx in enumerate(idxs):
                 plan[idx] = 1 if j == best else 0
     return plan
+
+
+def _meets_model(prep, values, lo0, hi0) -> bool:
+    """Whether an LP point meets every model row (scaled, rows the LP left
+    out of its working set included) and every variable bound."""
+    return bool(prep.row_violation(values).max(initial=0.0) <= INCUMBENT_TOL
+                and np.all(values >= lo0 - INCUMBENT_TOL)
+                and np.all(values <= hi0 + INCUMBENT_TOL))
 
 
 def solve_milp(model: MilpModel, varmap: VarMap | None = None,
@@ -171,6 +182,11 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
             vals = sol.values[bin_idx] if bin_idx.size else np.array([])
             frac = np.abs(vals - np.round(vals))
             if bin_idx.size == 0 or frac.max(initial=0.0) <= config.int_tol:
+                if not _meets_model(prep, sol.values, lo0, hi0):
+                    # an "optimal" point that breaks the model resolves nothing
+                    limit_hit = True
+                    log_node(node.depth)
+                    break
                 incumbent_vals = np.asarray(sol.values, dtype=float).copy()
                 incumbent_obj = obj
                 improved = True
@@ -182,7 +198,9 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
                     for idx, val in plan.items():
                         h_lo[idx] = h_hi[idx] = float(val)
                     h_sol = prep.solve(lower=h_lo, upper=h_hi, warm_start=sol.basis)
-                    if h_sol.status == LP_OPTIMAL and h_sol.objective < incumbent_obj - PRUNE_EPS:
+                    if (h_sol.status == LP_OPTIMAL
+                            and h_sol.objective < incumbent_obj - PRUNE_EPS
+                            and _meets_model(prep, h_sol.values, lo0, hi0)):
                         incumbent_vals = np.asarray(h_sol.values, dtype=float).copy()
                         incumbent_obj = h_sol.objective
                         improved = True
@@ -250,6 +268,6 @@ def _snap_binaries(prep, bin_idx, lo0, hi0, values, objective):
     hi = hi0.copy()
     lo[bin_idx] = hi[bin_idx] = rounded
     sol = prep.solve(lower=lo, upper=hi)
-    if sol.status == LP_OPTIMAL:
+    if sol.status == LP_OPTIMAL and _meets_model(prep, sol.values, lo0, hi0):
         return np.asarray(sol.values, dtype=float).copy(), sol.objective
     return values, objective

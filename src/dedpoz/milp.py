@@ -6,7 +6,9 @@ Two formulations are built from a :class:`~dedpoz.system.SystemInstance`:
   allowed segments with one binary selector per segment; the quadratic fuel
   cost is underestimated per segment by a family of tangent cuts on an
   epigraph variable, scaled by the selector so inactive segments contribute
-  nothing.
+  nothing.  Only each segment's two endpoint cuts are needed to keep the
+  epigraph bounded; the interior ones are marked ``lazy``, so the LP solver
+  adds them back only where its optimum breaks them.
 * ``build_milp2``: lossy dispatch.  The power balance carries the constant
   and linear loss terms explicitly plus one free variable per period for the
   quadratic part, bounded below by a single tangent-plane cut anchored at a
@@ -47,6 +49,7 @@ class Constraint:
     coeffs: tuple  # ((var_index, coefficient), ...)
     sense: str
     rhs: float
+    lazy: bool = False  # a solver may leave the row out until a point breaks it
 
 
 @dataclass(frozen=True)
@@ -108,9 +111,10 @@ class _ModelBuilder:
         self.variables.append(Variable(name, kind, float(lb), float(ub)))
         return len(self.variables) - 1
 
-    def row(self, name, coeffs, sense, rhs):
+    def row(self, name, coeffs, sense, rhs, lazy=False):
         self.constraints.append(
-            Constraint(name, tuple((int(j), float(c)) for j, c in coeffs), sense, float(rhs)))
+            Constraint(name, tuple((int(j), float(c)) for j, c in coeffs), sense,
+                       float(rhs), lazy))
 
     def build(self) -> MilpModel:
         return MilpModel(tuple(self.variables), tuple(self.constraints),
@@ -262,9 +266,11 @@ def _build(instance: SystemInstance, steps: int, anchors) -> tuple:
             for j, seg in enumerate(instance.segments[i]):
                 for ell, p_bar in enumerate(plan.points[i][j]):
                     coef_p, coef_u = tangent_cut(unit.beta, unit.gamma, p_bar)
+                    # the endpoint cuts alone keep segcost bounded below
                     b.row(f"cut({i},{t},{seg.index},{ell})",
                           [(cost_seg[i][t][j], 1.0), (p_seg[i][t][j], -coef_p),
-                           (u_seg[i][t][j], -coef_u)], GE, 0.0)
+                           (u_seg[i][t][j], -coef_u)], GE, 0.0,
+                          lazy=0 < ell < plan.steps)
     if lossy:
         for t in range(t_count):
             a_t = anchors[t]

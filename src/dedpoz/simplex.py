@@ -9,6 +9,15 @@ Revised simplex with an explicit basis inverse.  Design points:
   models carry only a few nonzeros per row), and every full-matrix product
   runs over the nonzeros only;
 * one pass of geometric-mean row equilibration before solving;
+* each solve runs on a working row set: every row except the ones the model
+  marks lazy (the interior tangent cuts), cut out of the full scaled arrays
+  with masks.  At an optimum the rows left out are checked against the
+  point; every broken one joins the set and the solve resumes by dual
+  simplex, since a new row's basic slack keeps the basis dual feasible.
+  The set only grows and is shared by all solves of a prepared model, so
+  branch-and-bound nodes start from the root's rows.  Bases, duals and
+  ``m`` keep the shape of the whole model; a row left out holds its own
+  slack basic at its own position;
 * cold starts crash onto slacks where the initial residual fits the slack
   bounds and artificials elsewhere, then run two-phase primal simplex;
 * warm starts (same model, changed variable bounds) factor the supplied
@@ -16,6 +25,10 @@ Revised simplex with an explicit basis inverse.  Design points:
   makes a re-solve of an already-optimal basis cost zero pivots;
 * pricing takes the largest reduced cost scaled by column norm, with a
   switch to Bland's rule after 1,000 degenerate steps;
+* both ratio tests are Harris two-pass: the first pass bounds the step with
+  every bound (or reduced cost) relaxed by ``HARRIS_TOL``, the second takes
+  the largest pivot among the rows (columns) that block within it, so a
+  near-zero pivot is not taken while a sound one blocks almost as early;
 * most basic columns are slacks or artificials, i.e. unit vectors, so a
   refactorization inverts only the kernel: the structural basic columns
   restricted to the rows no unit column covers.  The rest of the inverse
@@ -47,6 +60,7 @@ _RESTART = "_restart"
 FEAS_TOL = 1e-7
 DUAL_TOL = 1e-8
 PIVOT_TOL = 1e-9
+HARRIS_TOL = 1e-9
 DEGEN_STEP = 1e-10
 BLAND_AFTER = 1000
 REFACTOR_EVERY = 100
@@ -79,9 +93,83 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-class PreparedLp:
+class _Form:
+    """An LP in computational form: scaled rows as coordinate and column
+    arrays, rhs, costs and bound templates over the columns [structural |
+    one slack per row | one artificial per row].  The simplex runs on any
+    form: a whole prepared model or its working rows."""
+
+    def ax(self, x: np.ndarray) -> np.ndarray:
+        n, m = self.n_struct, self.m
+        out = (np.bincount(self.rows_nz, weights=self.vals_nz * x[self.cols_nz],
+                           minlength=m)
+               if self.rows_nz.size else np.zeros(m))
+        out += x[n:n + m]
+        out += x[n + m:]
+        return out
+
+    def aty(self, y: np.ndarray) -> np.ndarray:
+        n, m = self.n_struct, self.m
+        out = np.empty(self.ncols)
+        out[:n] = (np.bincount(self.cols_nz, weights=self.vals_nz * y[self.rows_nz],
+                               minlength=n)
+                   if self.rows_nz.size else 0.0)
+        out[n:n + m] = y
+        out[n + m:] = y
+        return out
+
+    def structural_columns(self, cols: np.ndarray) -> np.ndarray:
+        """Dense m x len(cols) block of the given structural columns."""
+        starts = self.col_ptr[cols]
+        counts = self.col_ptr[cols + 1] - starts
+        which = np.repeat(np.arange(len(cols)), counts)  # output column per entry
+        entries = starts[which] + np.arange(which.size) - (np.cumsum(counts) - counts)[which]
+        out = np.zeros((self.m, len(cols)))
+        out[self.col_rows[entries], which] = self.col_vals[entries]
+        return out
+
+
+class _WorkingRows(_Form):
+    """The rows of a prepared model picked by ``keep``, cut out with masks.
+    ``full_col`` maps each working column to its model column and
+    ``from_full`` maps back (-1 for the columns of rows left out)."""
+
+    def __init__(self, prep, keep):
+        n = prep.n_struct
+        self.rows = np.flatnonzero(keep)
+        self.n_struct, self.m = n, self.rows.size
+        self.ncols = n + 2 * self.m
+        pos = np.cumsum(keep) - 1
+        on = keep[prep.rows_nz]
+        self.rows_nz = pos[prep.rows_nz[on]]
+        self.cols_nz = prep.cols_nz[on]
+        self.vals_nz = prep.vals_nz[on]
+        on = keep[prep.col_rows]
+        self.col_rows = pos[prep.col_rows[on]]
+        self.col_vals = prep.col_vals[on]
+        col_of = np.repeat(np.arange(n), np.diff(prep.col_ptr))
+        self.col_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(col_of[on], minlength=n))]).astype(np.int64)
+        self.b = prep.b[self.rows]
+        self.row_scale = prep.row_scale[self.rows]
+        self.full_col = np.concatenate(
+            [np.arange(n), n + self.rows, n + prep.m + self.rows])
+        self.from_full = np.full(prep.ncols, -1, dtype=np.int64)
+        self.from_full[self.full_col] = np.arange(self.ncols)
+        self.lo_template = prep.lo_template[self.full_col]
+        self.hi_template = prep.hi_template[self.full_col]
+        self.c = prep.c[self.full_col]
+        self.col_scale = prep.col_scale[self.full_col]
+        self.constant = prep.constant
+
+
+class PreparedLp(_Form):
     """A model converted to computational form, reusable across many solves
-    with different variable bounds and warm-start bases."""
+    with different variable bounds and warm-start bases.
+
+    Solves run on the working rows: every row except the lazy ones not yet
+    found broken.  That set only grows, and it is shared by all solves.
+    """
 
     def __init__(self, model: MilpModel):
         if any(v.kind == BINARY for v in model.variables):
@@ -168,45 +256,144 @@ class PreparedLp:
         self.col_scale = np.empty(self.ncols)
         self.col_scale[:n] = 1.0 + np.sqrt(norm_sq)
         self.col_scale[n:] = 2.0
+        self.active = np.array([not con.lazy for con in model.constraints], dtype=bool)
+        self._work = None
 
-    # ----- products over the nonzeros --------------------------------------
-
-    def ax(self, x: np.ndarray) -> np.ndarray:
+    def row_violation(self, values: np.ndarray) -> np.ndarray:
+        """How far each model row is from holding at the structural point
+        ``values``, in scaled units; 0 where it holds."""
         n, m = self.n_struct, self.m
-        out = (np.bincount(self.rows_nz, weights=self.vals_nz * x[self.cols_nz],
-                           minlength=m)
-               if self.rows_nz.size else np.zeros(m))
-        out += x[n:n + m]
-        out += x[n + m:]
-        return out
-
-    def aty(self, y: np.ndarray) -> np.ndarray:
-        n, m = self.n_struct, self.m
-        out = np.empty(self.ncols)
-        out[:n] = (np.bincount(self.cols_nz, weights=self.vals_nz * y[self.rows_nz],
-                               minlength=n)
-                   if self.rows_nz.size else 0.0)
-        out[n:n + m] = y
-        out[n + m:] = y
-        return out
-
-    def structural_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Dense m x len(cols) block of the given structural columns."""
-        out = np.zeros((self.m, len(cols)))
-        for k, j in enumerate(cols):
-            s, e = self.col_ptr[j], self.col_ptr[j + 1]
-            out[self.col_rows[s:e], k] = self.col_vals[s:e]
-        return out
+        x = np.zeros(self.ncols)
+        x[:n] = values
+        need = self.b - self.ax(x)   # the slack each row would need
+        return np.maximum(np.maximum(self.lo_template[n:n + m] - need,
+                                     need - self.hi_template[n:n + m]), 0.0)
 
     def solve(self, lower=None, upper=None, warm_start=None,
               max_iters=DEFAULT_MAX_ITERS) -> LpSolution:
-        return _Run(self, lower, upper, warm_start, max_iters).solve()
+        """Solve on the working rows; while the optimum breaks a row left
+        out, add every broken row and re-solve warm from the last basis.
+        ``max_iters`` bounds all rounds together."""
+        n = self.n_struct
+        lo = self.lo_template[:n] if lower is None else np.asarray(lower, dtype=float)
+        hi = self.hi_template[:n] if upper is None else np.asarray(upper, dtype=float)
+        if np.any(lo > hi + 1e-12):
+            return LpSolution(INFEASIBLE, np.zeros(n), np.inf, np.zeros(self.m),
+                              None, 0, 0, 0.0)
+        pivots = iters = 0
+        warm = warm_start
+        while True:
+            work, work_warm = self._start(warm)
+            run = _Run(work, lower, upper, work_warm, max_iters - iters)
+            status = run.solve()
+            pivots += run.pivots
+            iters += run.iters
+            if work is self or status not in (OPTIMAL, UNBOUNDED):
+                break
+            if status == UNBOUNDED:
+                # the rows left out may bound it; a cold start with all rows
+                self._activate(~self.active)
+                warm = None
+                continue
+            broken = ~self.active & (self.row_violation(run.x[:n]) > FEAS_TOL)
+            if not broken.any():
+                break
+            # each added row's slack enters the basis, which keeps it dual
+            # feasible, so dual simplex picks up from there
+            warm = self._model_basis(run)
+            self._activate(broken)
+        return self._solution(run, status, pivots, iters)
+
+    # ----- working rows ----------------------------------------------------
+
+    def _activate(self, rows):
+        if np.any(rows & ~self.active):
+            self.active |= rows
+            self._work = None
+
+    def _working(self) -> _Form:
+        if self.active.all():
+            return self
+        if self._work is None:
+            self._work = _WorkingRows(self, self.active)
+        return self._work
+
+    def _start(self, warm):
+        """The working rows and ``warm`` mapped onto them.  A row left out
+        must hold its own slack basic; a row whose slack the basis holds
+        nonbasic joins the working rows first."""
+        if warm is None or self.active.all():
+            return self._working(), warm
+        n, m = self.n_struct, self.m
+        basic = np.asarray(warm.basic_idx)
+        status = np.asarray(warm.status)
+        if (basic.shape != (m,) or status.shape != (self.ncols,)
+                or np.any((basic < 0) | (basic >= self.ncols))):
+            return self._working(), None
+        slack_row = basic - n
+        is_slack = (slack_row >= 0) & (slack_row < m)
+        held = np.zeros(m, dtype=bool)
+        held[slack_row[is_slack]] = True
+        self._activate(~held)
+        work = self._working()
+        if work is self:
+            return self, warm
+        left_out = is_slack & ~self.active[np.clip(slack_row, 0, m - 1)]
+        basic = work.from_full[basic[~left_out]]
+        if np.any(basic < 0):
+            return work, None
+        return work, Basis(basic, status[work.full_col])
+
+    def _model_basis(self, run) -> Basis:
+        """The run's basis in model shape: a row left out holds its slack
+        basic at its own position."""
+        work = run.prep
+        if work is self:
+            return Basis(run.basic.copy(), run.status.copy())
+        n, m = self.n_struct, self.m
+        basic = n + np.arange(m)
+        basic[work.rows] = work.full_col[run.basic]
+        status = np.full(self.ncols, AT_LOWER, dtype=np.int8)
+        status[n:n + m] = BASIC
+        status[work.full_col] = run.status
+        return Basis(basic, status)
+
+    def _solution(self, run, status, pivots, iters) -> LpSolution:
+        work, x = run.prep, run.x
+        values = x[:self.n_struct].copy()
+        values.setflags(write=False)
+        resid = float(np.abs(work.ax(x) - work.b).max(initial=0.0))
+        y = run.b_inv.T @ work.c[run.basic]
+        duals = np.zeros(self.m)
+        if work is self:
+            duals = y / self.row_scale
+        else:
+            duals[work.rows] = y / work.row_scale
+            resid = max(resid, float(
+                self.row_violation(values)[~self.active].max(initial=0.0)))
+        duals.setflags(write=False)
+        objective = float(work.c @ x + work.constant)
+        if status == INFEASIBLE:
+            objective = np.inf
+        elif status == UNBOUNDED:
+            objective = -np.inf
+        return LpSolution(status, values, objective, duals, self._model_basis(run),
+                          pivots, iters, resid)
 
 
 def solve_lp(model: MilpModel, warm_start: Basis | None = None,
              max_iters: int = DEFAULT_MAX_ITERS) -> LpSolution:
     """One-shot solve of a continuous model."""
     return PreparedLp(model).solve(warm_start=warm_start, max_iters=max_iters)
+
+
+def _default_status(lo, hi) -> np.ndarray:
+    """Per column: at the finite bound nearer zero, else free at zero."""
+    fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+    status = np.full(lo.shape, FREE_ZERO, dtype=np.int8)
+    status[fin_hi] = AT_UPPER
+    status[fin_lo & (~fin_hi | (np.abs(lo) <= np.abs(hi)))] = AT_LOWER
+    return status
 
 
 class _Run:
@@ -334,14 +521,6 @@ class _Run:
         self.d[self.basic] = 0.0
         self.d[q] = 0.0
 
-    def _default_status(self, j) -> int:
-        lo, hi = self.lo[j], self.hi[j]
-        if np.isfinite(lo) and (not np.isfinite(hi) or abs(lo) <= abs(hi)):
-            return AT_LOWER
-        if np.isfinite(hi):
-            return AT_UPPER
-        return FREE_ZERO
-
     # ----- start paths -----------------------------------------------------
 
     def _crash(self):
@@ -349,8 +528,7 @@ class _Run:
         n, m = prep.n_struct, prep.m
         self.lo[n + m:] = 0.0
         self.hi[n + m:] = 0.0
-        for j in range(prep.ncols):
-            self.status[j] = self._default_status(j)
+        self.status = _default_status(self.lo, self.hi)
         x = np.zeros(prep.ncols)
         at_lo = self.status == AT_LOWER
         at_hi = self.status == AT_UPPER
@@ -358,19 +536,14 @@ class _Run:
         x[at_hi] = self.hi[at_hi]
         x[n:] = 0.0
         resid = prep.b - prep.ax(x)
-        art_used = np.zeros(m, dtype=bool)
-        for r in range(m):
-            s = n + r
-            if self.lo[s] - 1e-9 <= resid[r] <= self.hi[s] + 1e-9:
-                self.basic[r] = s
-            else:
-                aj = n + m + r
-                self.basic[r] = aj
-                if resid[r] >= 0.0:
-                    self.lo[aj], self.hi[aj] = 0.0, np.inf
-                else:
-                    self.lo[aj], self.hi[aj] = -np.inf, 0.0
-                art_used[r] = True
+        # a slack absorbs the residual where its bounds allow, else an artificial
+        art_used = ~((self.lo[n:n + m] - 1e-9 <= resid) & (resid <= self.hi[n:n + m] + 1e-9))
+        rows = np.arange(m)
+        self.basic = np.where(art_used, n + m + rows, n + rows)
+        arts = n + m + np.flatnonzero(art_used)
+        up = resid[art_used] >= 0.0
+        self.lo[arts] = np.where(up, 0.0, -np.inf)
+        self.hi[arts] = np.where(up, np.inf, 0.0)
         self.status[self.basic] = BASIC
         self._factor()
         return art_used
@@ -380,9 +553,8 @@ class _Run:
         start = prep.n_struct + prep.m
         self.lo[start:] = 0.0
         self.hi[start:] = 0.0
-        for j in range(start, prep.ncols):
-            if self.status[j] != BASIC:
-                self.status[j] = AT_LOWER
+        arts = self.status[start:]
+        arts[arts != BASIC] = AT_LOWER
 
     def _cold(self, c) -> str:
         art_used = self._crash()
@@ -409,22 +581,21 @@ class _Run:
         self.status = warm.status.astype(np.int8).copy()
         in_basis = np.zeros(prep.ncols, dtype=bool)
         in_basis[self.basic] = True
-        self.status[in_basis] = BASIC
-        for j in np.flatnonzero(~in_basis):
-            st = self.status[j]
-            lo, hi = self.lo[j], self.hi[j]
-            if st == AT_LOWER and not np.isfinite(lo):
-                st = AT_UPPER if np.isfinite(hi) else FREE_ZERO
-            elif st == AT_UPPER and not np.isfinite(hi):
-                st = AT_LOWER if np.isfinite(lo) else FREE_ZERO
-            elif st == FREE_ZERO:
-                if lo > 0.0:
-                    st = AT_LOWER
-                elif hi < 0.0:
-                    st = AT_UPPER
-            elif st == BASIC:
-                st = self._default_status(j)
-            self.status[j] = st
+        # a nonbasic status must name a finite bound; a stale BASIC mark
+        # falls back to the default
+        old, lo, hi = self.status.copy(), self.lo, self.hi
+        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+        new = self.status
+        fix = (old == AT_LOWER) & ~fin_lo
+        new[fix] = np.where(fin_hi[fix], AT_UPPER, FREE_ZERO)
+        fix = (old == AT_UPPER) & ~fin_hi
+        new[fix] = np.where(fin_lo[fix], AT_LOWER, FREE_ZERO)
+        free = old == FREE_ZERO
+        new[free & (hi < 0.0)] = AT_UPPER
+        new[free & (lo > 0.0)] = AT_LOWER
+        fix = old == BASIC
+        new[fix] = _default_status(lo[fix], hi[fix])
+        new[in_basis] = BASIC
         return self._factor()
 
     def _warm(self, c) -> str:
@@ -497,11 +668,17 @@ class _Run:
                 x[q] = self.hi[q] if up else self.lo[q]
                 self.status[q] = AT_UPPER if up else AT_LOWER
                 continue
-            cands = np.flatnonzero(ratios <= theta_basic + 1e-12)
             if self.bland:
+                cands = np.flatnonzero(ratios <= theta_basic + 1e-12)
                 r = int(cands[np.argmin(self.basic[cands])])
             else:
+                # Harris: ``cap`` is the step with every bound relaxed by
+                # HARRIS_TOL; the largest pivot blocking within it leaves
+                with np.errstate(divide="ignore"):
+                    cap = float((np.minimum(r_lo, r_hi) + HARRIS_TOL / np.abs(delta)).min())
+                cands = np.flatnonzero(ratios <= max(theta_basic + 1e-12, min(cap, span)))
                 r = int(cands[np.argmax(np.abs(delta[cands]))])
+                theta_basic = float(ratios[r])
             if abs(w[r]) <= 10 * PIVOT_TOL and self.since_refactor > 0:
                 # stale basis inverse disagrees with the tableau column;
                 # refactorize and rescan rather than pivot on noise
@@ -544,15 +721,13 @@ class _Run:
             below = self.lo[self.basic] - xb
             above = xb - self.hi[self.basic]
             viol = np.maximum(below, above)
+            worst = np.flatnonzero(viol > FEAS_TOL)
+            if worst.size == 0:
+                return OPTIMAL
             if self.bland:
-                worst = np.flatnonzero(viol > FEAS_TOL)
-                if worst.size == 0:
-                    return OPTIMAL
                 r = int(worst[np.argmin(self.basic[worst])])
             else:
                 r = int(np.argmax(viol))
-                if viol[r] <= FEAS_TOL:
-                    return OPTIMAL
             is_below = below[r] >= above[r]
             alpha = self._alpha_row(self.b_inv[r].copy())
             nb = self.status != BASIC
@@ -573,10 +748,12 @@ class _Run:
             ratios = np.full(prep.ncols, np.inf)
             ratios[elig] = np.maximum(d[elig] / denom[elig], 0.0)
             theta = float(ratios.min())
-            cands = np.flatnonzero(ratios <= theta + 1e-12)
             if self.bland:
-                q = int(cands[0])
+                q = int(np.flatnonzero(ratios <= theta + 1e-12)[0])
             else:
+                # Harris, as in the primal, with the reduced costs relaxed
+                cap = float((d[elig] / denom[elig] + HARRIS_TOL / np.abs(alpha[elig])).min())
+                cands = np.flatnonzero(ratios <= max(theta + 1e-12, cap))
                 q = int(cands[np.argmax(np.abs(alpha[cands]))])
             w = self._w_col(q)
             piv = w[r]
@@ -607,11 +784,10 @@ class _Run:
 
     # ----- driver ----------------------------------------------------------
 
-    def solve(self) -> LpSolution:
+    def solve(self) -> str:
+        """Run to a final status; ``x`` then holds the iterate recomputed
+        from a fresh factorization of the final basis."""
         prep = self.prep
-        if np.any(self.lo > self.hi + 1e-12):
-            return LpSolution(INFEASIBLE, np.zeros(prep.n_struct), np.inf,
-                              np.zeros(prep.m), None, 0, 0, 0.0)
         if self.warm is not None:
             status = self._warm(prep.c)
         else:
@@ -629,33 +805,18 @@ class _Run:
                 status = self._cold(prep.c)
             if self.since_refactor > 0:
                 self._factor()
-            x = self._compute_x()
+            self.x = self._compute_x()
             if status != OPTIMAL:
-                break
+                return status
             # the updated iterate can drift from the one the basis defines;
             # check the recomputed one before calling it optimal
-            xb = x[self.basic]
+            xb = self.x[self.basic]
             if np.all((xb >= self.lo[self.basic] - FEAS_TOL)
                       & (xb <= self.hi[self.basic] + FEAS_TOL)):
-                break
+                return status
             if repairs == 2:
-                status = ITERATION_LIMIT
-                break
+                return ITERATION_LIMIT
             repairs += 1
             status = self._dual(prep.c)
             if status == OPTIMAL:
                 status = self._primal(prep.c)
-        y = self.b_inv.T @ prep.c[self.basic]
-        resid = float(np.abs(prep.ax(x) - prep.b).max(initial=0.0))
-        values = x[:prep.n_struct].copy()
-        values.setflags(write=False)
-        duals = y / prep.row_scale
-        duals.setflags(write=False)
-        basis = Basis(self.basic.copy(), self.status.copy())
-        objective = float(prep.c @ x + prep.constant)
-        if status == INFEASIBLE:
-            objective = np.inf
-        elif status == UNBOUNDED:
-            objective = -np.inf
-        return LpSolution(status, values, objective, duals, basis,
-                          self.pivots, self.iters, resid)

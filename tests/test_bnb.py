@@ -1,5 +1,6 @@
 """Branch-and-bound tests against exhaustive segment enumeration."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -13,7 +14,9 @@ from dedpoz.bnb import (
     BnbConfig,
     rounding_heuristic,
 )
-from dedpoz.milp import tangent_gap_bound
+from dedpoz.milp import GE, tangent_gap_bound
+from dedpoz.simplex import OPTIMAL as LP_OPTIMAL
+from dedpoz.simplex import PreparedLp
 from dedpoz.system import SystemInstance
 from support import enumeration_milp_min, make_unit, random_lossless_instance
 
@@ -162,3 +165,44 @@ def test_heuristic_incumbent_never_beats_exact_optimum():
             assert sol.status == OPTIMAL_WITHIN_GAP
             assert sol.objective >= best - 1e-6
             assert sol.objective == pytest.approx(best, rel=1e-6, abs=1e-6)
+
+
+def worst_row_shortfall(model, values, lazy):
+    """Largest amount by which a >= row with the given lazy mark fails."""
+    return max((con.rhs - sum(c * values[j] for j, c in con.coeffs)
+                for con in model.constraints if con.lazy == lazy and con.sense == GE),
+               default=0.0)
+
+
+def test_incumbent_that_breaks_a_deferred_row_is_refused(monkeypatch):
+    rng = np.random.default_rng(101)
+    instance = random_lossless_instance(rng, n_units=2, n_periods=2)
+    model, varmap = build_milp1(instance, tangent_steps=3)
+    cuts = {}
+    for con in model.constraints:
+        if con.name.startswith("cut("):
+            cuts.setdefault(con.coeffs[0][0], []).append(con)
+    real_solve = PreparedLp.solve
+    broken = []
+
+    def under_priced(prep, *args, **kwargs):
+        # claim optimal at a point whose segment costs only meet the
+        # endpoint cuts, so interior (lazy) cuts fail and nothing else does
+        sol = real_solve(prep, *args, **kwargs)
+        if sol.status != LP_OPTIMAL:
+            return sol
+        values = np.array(sol.values)
+        for z, rows in cuts.items():
+            values[z] = max(-sum(c * values[j] for j, c in con.coeffs[1:])
+                            for con in rows if not con.lazy)
+        assert worst_row_shortfall(model, values, lazy=False) <= 1e-9
+        broken.append(worst_row_shortfall(model, values, lazy=True) > 1e-3)
+        return dataclasses.replace(sol, values=values)
+
+    monkeypatch.setattr(PreparedLp, "solve", under_priced)
+    sol = solve_milp(model, varmap, TIGHT)
+    assert any(broken)
+    if sol.has_incumbent:
+        assert worst_row_shortfall(model, sol.values, lazy=True) <= 1e-6
+    else:
+        assert sol.limit_hit and sol.status == MILP_INFEASIBLE

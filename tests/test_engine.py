@@ -1,5 +1,6 @@
 """End-to-end dispatch driver tests, lossless and lossy."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from dedpoz import (
     InfeasibleError,
     LossModel,
     SystemInstance,
+    duplicate_system,
     evaluate_cost,
     evaluate_violations,
     load_instance,
@@ -17,6 +19,7 @@ from dedpoz import (
     solve_ded_no_loss,
     solve_ded_with_loss,
 )
+from dedpoz import engine
 from dedpoz.milp import tangent_gap_bound
 from dedpoz.oracle import dp_error_bound, dp_exact_dispatch
 from support import (
@@ -25,6 +28,7 @@ from support import (
     make_unit,
     random_lossless_instance,
     random_lossy_instance,
+    symmetric_three_unit,
 )
 
 FAST = IaConfig(gap=1e-6, tangent_steps=4)
@@ -244,8 +248,18 @@ def test_reported_losses_match_direct_evaluation():
 def test_root_lp_drift_does_not_yield_a_false_optimum():
     # a 3x3 instance whose cold root LP once pivoted on a 1e-8 entry, drifted,
     # and came back "optimal" with p(0,1) 1.36 MW below its lower bound
-    instance = load_instance(Path(__file__).parent / "fixtures"
-                             / "small_batch_s167_seed107.json")
+    assert_agrees_with_grid_dp("small_batch_s167_seed107.json")
+
+
+def test_near_zero_pivot_does_not_yield_a_false_infeasible():
+    # a 1x4 instance whose root LP on the working rows once took a 1.8e-8
+    # pivot in phase 1 (the entering column's largest entry was 1e5), made
+    # the basis singular and ended phase 1 claiming infeasibility
+    assert_agrees_with_grid_dp("small_batch_s177_seed112.json")
+
+
+def assert_agrees_with_grid_dp(fixture):
+    instance = load_instance(Path(__file__).parent / "fixtures" / fixture)
     config = IaConfig(gap=1e-4, tangent_steps=4)
     report = solve_ded_no_loss(instance, config)
     assert report.milp.status == "optimal_within_gap"
@@ -255,3 +269,32 @@ def test_root_lp_drift_does_not_yield_a_false_optimum():
     dp_cost = dp_exact_dispatch(instance, delta)[0]
     allowed = config.gap * report.cost + dp_error_bound(instance, delta)
     assert abs(report.cost - dp_cost) <= allowed
+
+
+def eager_build(build):
+    """A model builder whose rows carry no lazy marks."""
+    def wrapped(*args, **kwargs):
+        model, varmap = build(*args, **kwargs)
+        rows = tuple(dataclasses.replace(con, lazy=False) for con in model.constraints)
+        return dataclasses.replace(model, constraints=rows), varmap
+    return wrapped
+
+
+@pytest.mark.parametrize("case", ["s167_fixture", "ladder_u6"])
+def test_deferred_cuts_give_the_eager_cost(case, monkeypatch):
+    if case == "s167_fixture":
+        instance = load_instance(Path(__file__).parent / "fixtures"
+                                 / "small_batch_s167_seed107.json")
+        config = IaConfig(gap=1e-4, tangent_steps=4)
+    else:
+        instance = duplicate_system(symmetric_three_unit(), 2)
+        config = IaConfig(gap=1e-6, tangent_steps=10)
+    deferred = solve_ded_no_loss(instance, config)
+    monkeypatch.setattr(engine, "build_milp1", eager_build(engine.build_milp1))
+    eager = solve_ded_no_loss(instance, config)
+    for report in (deferred, eager):
+        assert report.milp.status == "optimal_within_gap" and not report.milp.limit_hit
+        assert report.audit.feasible
+    assert deferred.cost == pytest.approx(eager.cost, rel=config.gap)
+    assert deferred.surrogate_objective == pytest.approx(eager.surrogate_objective,
+                                                         rel=config.gap)

@@ -1,5 +1,7 @@
 """LP solver tests against exhaustive vertex enumeration and hand cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,18 @@ from hypothesis import strategies as st
 from dedpoz import ValidationError, build_milp1, duplicate_system
 from dedpoz.milp import BINARY, CONTINUOUS, EQ, GE, LE, Constraint, MilpModel, Variable, lp_relaxation
 from dedpoz.simplex import (
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
     DEFAULT_MAX_ITERS,
+    FREE_ZERO,
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    Basis,
     PreparedLp,
+    _default_status,
     _Run,
     solve_lp,
 )
@@ -21,12 +29,18 @@ from support import (enumeration_milp_min, random_lossless_instance,
                      symmetric_three_unit, vertex_enumeration_min)
 
 
-def lp(bounds, rows, objective, constant=0.0):
+def lp(bounds, rows, objective, constant=0.0, lazy=()):
     variables = tuple(Variable(f"x{j}", CONTINUOUS, lo, hi)
                       for j, (lo, hi) in enumerate(bounds))
-    cons = tuple(Constraint(f"r{k}", tuple(coeffs), sense, rhs)
+    cons = tuple(Constraint(f"r{k}", tuple(coeffs), sense, rhs, k in lazy)
                  for k, (coeffs, sense, rhs) in enumerate(rows))
     return MilpModel(variables, cons, tuple(objective), constant).validate()
+
+
+def unmarked(model):
+    """The same model with every row solved eagerly."""
+    return dataclasses.replace(model, constraints=tuple(
+        dataclasses.replace(con, lazy=False) for con in model.constraints))
 
 
 def random_boxed_lp(rng):
@@ -219,10 +233,13 @@ def factored(prep, basic):
     return run, run._factor()
 
 
+def ladder_root_model(copies):
+    return build_milp1(duplicate_system(symmetric_three_unit(), copies),
+                       tangent_steps=10)[0]
+
+
 def ladder_root_lp(copies):
-    model = build_milp1(duplicate_system(symmetric_three_unit(), copies),
-                        tangent_steps=10)[0]
-    return PreparedLp(lp_relaxation(model))
+    return PreparedLp(lp_relaxation(ladder_root_model(copies)))
 
 
 def test_kernel_factor_inverts_final_ladder_basis():
@@ -286,7 +303,7 @@ HALVES = st.integers(-12, 12).map(lambda v: v / 2.0)
 
 
 @st.composite
-def bounded_lps(draw):
+def bounded_lps(draw, min_lazy=0):
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 4))
     bounds = []
@@ -299,15 +316,27 @@ def bounded_lps(draw):
         rows.append((coeffs or [(0, 1.0)], draw(st.sampled_from((LE, EQ, GE))),
                      draw(HALVES)))
     objective = [(j, draw(HALVES)) for j in range(n)]
-    return lp(bounds, rows, objective)
+    lazy = draw(st.sets(st.integers(0, m - 1), min_size=min(min_lazy, m)))
+    return lp(bounds, rows, objective, lazy=lazy)
 
 
 @settings(max_examples=300, deadline=None)
 @given(bounded_lps())
 def test_every_optimal_meets_rows_and_bounds(model):
+    # lazy rows included: the check reads the model, not the solver's residual
     sol = PreparedLp(model).solve()
     if sol.status == OPTIMAL:
         _check_primal_feasible(model, sol.values, tol=1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_lps(min_lazy=1))
+def test_lazy_rows_change_neither_status_nor_optimum(model):
+    deferred = PreparedLp(model).solve()
+    eager = PreparedLp(unmarked(model)).solve()
+    assert deferred.status == eager.status
+    if eager.status == OPTIMAL:
+        assert deferred.objective == pytest.approx(eager.objective, rel=1e-7, abs=1e-9)
 
 
 def test_optimal_exit_that_breaks_a_bound_is_repaired_or_withheld(monkeypatch):
@@ -342,3 +371,194 @@ def test_optimal_exit_that_breaks_a_bound_is_repaired_or_withheld(monkeypatch):
     monkeypatch.setattr(_Run, "_dual", lambda run, c: OPTIMAL)
     stuck = prep.solve(lower=lo, upper=hi, warm_start=base.basis)
     assert stuck.status == ITERATION_LIMIT
+
+
+# ----- working rows: lazy rows join only when the optimum breaks them -------
+
+def test_rows_left_out_keep_their_model_shape():
+    model = ladder_root_model(2)
+    lazy = np.array([con.lazy for con in model.constraints])
+    assert lazy.sum() == 6 * 3 * 2 * 9  # units x periods x segments x interior cuts
+    prep = PreparedLp(lp_relaxation(model))
+    sol = prep.solve()
+    eager = PreparedLp(lp_relaxation(unmarked(model))).solve()
+    assert sol.status == eager.status == OPTIMAL
+    assert sol.objective == pytest.approx(eager.objective, rel=1e-9)
+    _check_primal_feasible(model, sol.values)
+    # some cuts were added back, others were never needed
+    added = prep.active & lazy
+    assert 0 < added.sum() < lazy.sum()
+    left_out = np.flatnonzero(~prep.active)
+    n, m = prep.n_struct, prep.m
+    assert m == len(model.constraints)
+    assert sol.basis.basic_idx.shape == (m,)
+    assert sol.basis.status.shape == (n + 2 * m,)
+    np.testing.assert_array_equal(sol.basis.basic_idx[left_out], n + left_out)
+    assert np.all(sol.basis.status[n + left_out] == BASIC)
+    assert sol.dual_values.shape == (m,)
+    assert np.all(sol.dual_values[left_out] == 0.0)
+    # complementary slackness, read from the model: a priced row binds
+    for con, y in zip(model.constraints, sol.dual_values):
+        if abs(y) > 1e-9:
+            lhs = sum(c * sol.values[j] for j, c in con.coeffs)
+            assert lhs == pytest.approx(con.rhs, abs=1e-6)
+    assert sol.residual <= 1e-6
+    # a warm re-solve of the final basis on the final rows takes no pivots
+    again = prep.solve(warm_start=sol.basis)
+    assert again.pivots == 0 and again.objective == pytest.approx(sol.objective, rel=1e-12)
+    # on a fresh prepared model the basis brings back the lazy rows whose
+    # slack it holds nonbasic, and no others
+    fresh = PreparedLp(lp_relaxation(model))
+    again = fresh.solve(warm_start=sol.basis)
+    assert again.pivots == 0 and again.objective == pytest.approx(sol.objective, rel=1e-12)
+    slack_basic = np.zeros(m, dtype=bool)
+    slack_basic[sol.basis.basic_idx[(sol.basis.basic_idx >= n)
+                                    & (sol.basis.basic_idx < n + m)] - n] = True
+    np.testing.assert_array_equal(fresh.active, ~lazy | ~slack_basic)
+
+
+def test_warm_start_from_a_basis_saved_before_rows_were_added():
+    model, varmap = build_milp1(duplicate_system(symmetric_three_unit(), 2),
+                                tangent_steps=10)
+    relaxed = lp_relaxation(model)
+    lo = np.array([v.lb for v in model.variables])
+    hi = np.array([v.ub for v in model.variables])
+    children = []
+    for i, t in ((0, 0), (3, 1)):
+        for j in range(len(varmap.u_seg[i][t])):
+            clo, chi = lo.copy(), hi.copy()
+            clo[varmap.u_seg[i][t][j]] = chi[varmap.u_seg[i][t][j]] = 1.0
+            children.append((clo, chi))
+    prep = PreparedLp(relaxed)
+    saved = prep.solve(*children[0])
+    assert saved.status == OPTIMAL
+    rows_then = prep.active.copy()
+    for clo, chi in children[1:]:
+        prep.solve(clo, chi)
+    assert np.all(prep.active >= rows_then) and prep.active.sum() > rows_then.sum()
+    eager = PreparedLp(unmarked(relaxed))
+    for clo, chi in children:
+        warm = prep.solve(clo, chi, warm_start=saved.basis)
+        cold = eager.solve(clo, chi)
+        assert warm.status == cold.status
+        if cold.status == OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+            _check_primal_feasible(model, warm.values, tol=1e-6)
+
+
+def test_working_rows_that_are_unbounded_or_infeasible():
+    # x free; only the lazy row bounds it
+    bounded_by_lazy = lp([(-np.inf, np.inf), (0.0, 1.0)],
+                         [([(0, 1.0)], GE, -5.0), ([(0, 1.0), (1, 1.0)], LE, 9.0)],
+                         [(0, 1.0), (1, -1.0)], lazy={0})
+    sol = solve_lp(bounded_by_lazy)
+    assert sol.status == OPTIMAL and sol.objective == pytest.approx(-6.0)
+    unbounded = lp([(-np.inf, np.inf)], [([(0, 1.0)], LE, 3.0)], [(0, 1.0)], lazy={0})
+    assert solve_lp(unbounded).status == UNBOUNDED
+    # the rows kept already conflict, so every row together does too
+    infeasible = lp([(0.0, 4.0)], [([(0, 1.0)], GE, 5.0), ([(0, 1.0)], LE, 9.0)],
+                    [(0, 1.0)], lazy={1})
+    assert solve_lp(infeasible).status == INFEASIBLE
+
+
+def test_iteration_budget_is_shared_by_all_rounds():
+    relaxed = lp_relaxation(ladder_root_model(2))
+    unlimited = PreparedLp(relaxed).solve()
+    assert unlimited.status == OPTIMAL
+    # one iteration short of what all rounds take together: the first
+    # round finishes and adds rows, a later one runs out
+    prep = PreparedLp(relaxed)
+    rows_before = prep.active.sum()
+    short = prep.solve(max_iters=unlimited.iterations - 1)
+    assert short.status == ITERATION_LIMIT
+    assert short.iterations == unlimited.iterations - 1
+    assert prep.active.sum() > rows_before
+
+
+# ----- the vectorized start paths keep the per-column rules -----------------
+
+def reference_default_status(lo, hi):
+    if np.isfinite(lo) and (not np.isfinite(hi) or abs(lo) <= abs(hi)):
+        return AT_LOWER
+    if np.isfinite(hi):
+        return AT_UPPER
+    return FREE_ZERO
+
+
+BOUND_VALUES = (-np.inf, -3.0, -1.0, 0.0, 1.0, 3.0, np.inf)
+
+
+def test_default_status_matches_the_per_column_rule():
+    pairs = [(lo, hi) for lo in BOUND_VALUES for hi in BOUND_VALUES]
+    lo = np.array([p[0] for p in pairs])
+    hi = np.array([p[1] for p in pairs])
+    expected = [reference_default_status(a, b) for a, b in pairs]
+    np.testing.assert_array_equal(_default_status(lo, hi), expected)
+
+
+def test_warm_statuses_match_the_per_column_rule():
+    rng = np.random.default_rng(12)
+    pairs = [(lo, hi) for lo in BOUND_VALUES for hi in BOUND_VALUES if lo <= hi]
+    n = len(pairs)
+    model = lp(pairs, [([(0, 1.0)], LE, 1.0)], [(0, 1.0)])
+    prep = PreparedLp(model)
+    for _ in range(20):
+        status = rng.integers(0, 4, size=prep.ncols).astype(np.int8)
+        basic = np.array([int(rng.integers(n))])
+        run = _Run(prep, None, None, Basis(basic, status), DEFAULT_MAX_ITERS)
+        run._load_warm()
+        expected = status.copy()
+        for j in range(prep.ncols):
+            st_j, lo, hi = status[j], run.lo[j], run.hi[j]
+            if j in basic:
+                st_j = BASIC
+            elif st_j == AT_LOWER and not np.isfinite(lo):
+                st_j = AT_UPPER if np.isfinite(hi) else FREE_ZERO
+            elif st_j == AT_UPPER and not np.isfinite(hi):
+                st_j = AT_LOWER if np.isfinite(lo) else FREE_ZERO
+            elif st_j == FREE_ZERO:
+                if lo > 0.0:
+                    st_j = AT_LOWER
+                elif hi < 0.0:
+                    st_j = AT_UPPER
+            elif st_j == BASIC:
+                st_j = reference_default_status(lo, hi)
+            expected[j] = st_j
+        np.testing.assert_array_equal(run.status, expected)
+
+
+def test_crash_basis_matches_the_per_row_rule():
+    rng = np.random.default_rng(21)
+    for model in [lp_relaxation(ladder_root_model(1))] + [random_boxed_lp(rng)
+                                                          for _ in range(10)]:
+        prep = PreparedLp(model)
+        n, m = prep.n_struct, prep.m
+        run = _Run(prep, None, None, None, DEFAULT_MAX_ITERS)
+        art_used = run._crash()
+        x = np.zeros(prep.ncols)
+        for j in range(n):
+            st_j = reference_default_status(prep.lo_template[j], prep.hi_template[j])
+            if st_j == AT_LOWER:
+                x[j] = prep.lo_template[j]
+            elif st_j == AT_UPPER:
+                x[j] = prep.hi_template[j]
+        resid = prep.b - prep.ax(x)
+        for r in range(m):
+            s_lo, s_hi = prep.lo_template[n + r], prep.hi_template[n + r]
+            a = n + m + r
+            if s_lo - 1e-9 <= resid[r] <= s_hi + 1e-9:
+                assert run.basic[r] == n + r and not art_used[r]
+                assert run.lo[a] == run.hi[a] == 0.0
+            else:
+                assert run.basic[r] == a and art_used[r]
+                expected = (0.0, np.inf) if resid[r] >= 0.0 else (-np.inf, 0.0)
+                assert (run.lo[a], run.hi[a]) == expected
+        assert np.all(run.status[run.basic] == BASIC)
+
+
+def test_structural_columns_match_the_coordinate_arrays():
+    prep = ladder_root_lp(1)
+    cols = np.array([5, 0, prep.n_struct - 1, 17, 3])
+    full = np.zeros((prep.m, prep.n_struct))
+    full[prep.rows_nz, prep.cols_nz] = prep.vals_nz
+    np.testing.assert_array_equal(prep.structural_columns(cols), full[:, cols])
