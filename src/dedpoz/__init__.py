@@ -10,7 +10,8 @@ core; the only runtime dependency is numpy.
 from .bnb import BnbConfig, MilpSolution, rounding_heuristic, solve_milp
 from .engine import (DispatchReport, IaConfig, IaIteration, midpoint_anchor,
                      solve_ded_no_loss, solve_ded_with_loss)
-from .errors import EnumerationCapError, InfeasibleError, ValidationError
+from .errors import (EnumerationCapError, InfeasibleError, SolveLimitError,
+                     ValidationError)
 from .io import (duplicate_system, load_instance, parse_instance,
                  read_schedule_csv, save_instance, scaled_cpu_time,
                  write_report_json, write_schedule_csv)
@@ -29,7 +30,8 @@ __all__ = [
     "BnbConfig", "DispatchReport", "EnumerationCapError", "FeasibilityReport",
     "GeneratingUnit", "IaConfig", "IaIteration", "InfeasibleError",
     "LossModel", "LpSolution", "MilpModel", "MilpSolution",
-    "OperatingSegment", "PreparedLp", "Schedule", "SystemInstance",
+    "OperatingSegment", "PreparedLp", "Schedule", "SolveLimitError",
+    "SystemInstance",
     "TangentPlan", "ValidationError", "VarMap", "build_milp1", "build_milp2",
     "derive_segments", "dp_exact_dispatch", "duplicate_system",
     "enumerate_assignments", "evaluate_cost", "evaluate_loss_mw",

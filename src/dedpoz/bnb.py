@@ -3,7 +3,9 @@
 Node selection is best-bound with one depth-first plunge after each incumbent
 improvement.  Branching fixes the single most fractional binary (ties broken
 by lowest variable index, which the model builders lay out in unit, period,
-segment order).  Child LPs restart from the parent's basis via dual simplex.
+segment order).  Child LPs restart from the parent's basis via dual simplex,
+and the root LP from the caller's basis when one is given; the root LP's
+final basis comes back on the solution.
 A point becomes the incumbent only if it meets every model row and bound,
 rows the LP left out of its working set included.  The search is
 deterministic: identical inputs explore identical trees.
@@ -50,6 +52,7 @@ class MilpSolution:
     wall_time_s: float
     limit_hit: bool
     node_log: tuple
+    root_basis: object = field(default=None, repr=False, compare=False)
 
     @property
     def has_incumbent(self) -> bool:
@@ -93,11 +96,12 @@ def _meets_model(prep, values, lo0, hi0) -> bool:
 
 
 def solve_milp(model: MilpModel, varmap: VarMap | None = None,
-               config: BnbConfig | None = None) -> MilpSolution:
+               config: BnbConfig | None = None, warm_start=None) -> MilpSolution:
     """Minimize a MILP with binary variables by LP-based branch and bound.
 
     ``varmap`` enables the segment-rounding incumbent heuristic; pass None
-    for a generic model.
+    for a generic model.  ``warm_start`` is a model-shape ``Basis`` for the
+    root LP; the root LP's optimal basis is returned as ``root_basis``.
     """
     config = config or BnbConfig()
     start = time.perf_counter()
@@ -118,6 +122,7 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
     plunge_pending = False
     plunge_node = None
     limit_hit = False
+    root_basis = None
 
     def log_node(depth):
         entry = (nodes, depth, best_bound, incumbent_obj)
@@ -140,7 +145,8 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
             return True
         return time.perf_counter() - start < config.time_limit_s
 
-    root = _Node(seq=seq_counter, depth=0, bound=-np.inf, lower=lo0, upper=hi0)
+    root = _Node(seq=seq_counter, depth=0, bound=-np.inf, lower=lo0, upper=hi0,
+                 basis=warm_start)
     seq_counter += 1
     heapq.heappush(heap, root)
 
@@ -177,6 +183,8 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
             log_node(node.depth)
             break
 
+        if nodes == 1:
+            root_basis = sol.basis
         obj = sol.objective
         if obj < incumbent_obj - PRUNE_EPS:
             vals = sol.values[bin_idx] if bin_idx.size else np.array([])
@@ -251,7 +259,8 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
     best_bound = min(best_bound, objective)
     return MilpSolution(status=status, values=incumbent_vals, objective=objective,
                         best_bound=best_bound, rel_gap=rel_gap, nodes_explored=nodes,
-                        wall_time_s=wall, limit_hit=limit_hit, node_log=tuple(node_log))
+                        wall_time_s=wall, limit_hit=limit_hit, node_log=tuple(node_log),
+                        root_basis=root_basis)
 
 
 def _snap_binaries(prep, bin_idx, lo0, hi0, values, objective):

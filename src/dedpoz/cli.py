@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 solved or audited, 2 problem infeasible, 3 bad input,
-4 limits hit before the balance tolerance was met.
+4 limits hit before the balance tolerance was met or before any feasible
+dispatch was found.
 """
 
 import argparse
@@ -10,7 +11,7 @@ import sys
 
 from .bnb import FEASIBLE_TIME_LIMIT
 from .engine import IaConfig, solve_ded_no_loss, solve_ded_with_loss
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, SolveLimitError, ValidationError
 from .io import (CSV_AUDIT_TOL, audit_checks, duplicate_system,
                  feasibility_to_dict, load_instance, read_schedule_csv,
                  write_report_json, write_schedule_csv)
@@ -179,6 +180,9 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except SolveLimitError as exc:
+        print(f"limit: {exc}", file=sys.stderr)
+        return EXIT_LIMITS
 
 
 if __name__ == "__main__":

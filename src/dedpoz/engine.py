@@ -4,19 +4,23 @@ Two entry points: a single-shot solve for lossless systems, and an
 anchor-refinement loop for systems with a quadratic network-loss model.  The
 loop alternates between solving a linearized problem and re-anchoring the
 loss cut at a blend of the last two dispatches until the power balance checks
-out against the true loss at every period.
+out against the true loss at every period.  Each pass's root LP starts from
+the previous pass's root basis, mapped onto the new model by column and row
+names, so only the first pass starts cold.
 """
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bnb import MILP_INFEASIBLE, BnbConfig, MilpSolution, solve_milp
-from .milp import build_milp1, build_milp2
+from .milp import MilpModel, build_milp1, build_milp2
+from .simplex import AT_LOWER, BASIC, Basis
 from .system import (FeasibilityReport, Schedule, SystemInstance,
-                     evaluate_cost, evaluate_loss_mw, evaluate_violations)
-from .errors import InfeasibleError
+                     evaluate_cost, evaluate_violations)
+from .errors import InfeasibleError, SolveLimitError
 
 
 @dataclass(frozen=True)
@@ -99,21 +103,51 @@ def _bnb_config(config: IaConfig) -> BnbConfig:
                      node_limit=config.node_limit)
 
 
-def _run_milp(model, varmap, config: IaConfig, what: str):
+def _run_milp(model, varmap, config: IaConfig, what: str, warm_start=None):
+    """Solve one MILP.  Returns ``(solution, root basis, seconds)``; the
+    solution does not keep the basis, so reports do not either."""
     started = time.perf_counter()
-    sol = solve_milp(model, varmap=varmap, config=_bnb_config(config))
+    sol = solve_milp(model, varmap=varmap, config=_bnb_config(config),
+                     warm_start=warm_start)
     elapsed = time.perf_counter() - started
     if sol.status == MILP_INFEASIBLE:
+        if sol.limit_hit:
+            raise SolveLimitError(
+                f"{what}: a limit stopped the search before any feasible dispatch")
         raise InfeasibleError(f"{what}: no feasible dispatch exists")
-    return sol, elapsed
+    return dataclasses.replace(sol, root_basis=None), sol.root_basis, elapsed
 
 
-def _balance_error(instance: SystemInstance, p: np.ndarray) -> np.ndarray:
-    """Per-period absolute mismatch between generation, demand, and the true
-    quadratic loss at the candidate dispatch."""
-    loss = np.array([evaluate_loss_mw(instance.loss_model, p[t])
-                     for t in range(instance.n_periods)])
-    return np.abs(p.sum(axis=1) - instance.demand - loss)
+def _carry_basis(basis: Basis | None, old: MilpModel, new: MilpModel) -> Basis | None:
+    """``basis``, a model-shape basis of ``old``'s LP, mapped onto ``new``:
+    structural columns by variable name, slacks and artificials by row name.
+    The structural columns only ``new`` has enter the basis, and the slacks
+    of its new rows fill any places left.  None (a cold start) when the
+    counts do not fit."""
+    if basis is None:
+        return None
+    n, m = new.n_variables, new.n_constraints
+    var_at = {v.name: j for j, v in enumerate(new.variables)}
+    row_at = {con.name: r for r, con in enumerate(new.constraints)}
+    var_map = np.array([var_at.get(v.name, -1) for v in old.variables], dtype=np.int64)
+    row_map = np.array([row_at.get(con.name, -1) for con in old.constraints],
+                       dtype=np.int64)
+    col_map = np.concatenate([var_map, np.where(row_map >= 0, n + row_map, -1),
+                              np.where(row_map >= 0, n + m + row_map, -1)])
+    basic = col_map[basis.basic_idx]
+    basic = np.concatenate([basic[basic >= 0], np.setdiff1d(np.arange(n), var_map)])
+    new_rows = np.setdiff1d(np.arange(m), row_map)
+    fill = m - basic.size
+    if not 0 <= fill <= new_rows.size:
+        return None
+    basic = np.concatenate([basic, n + new_rows[:fill]])
+    # the simplex moves a status that names an infinite bound to the finite
+    # one, so AT_LOWER gives every new nonbasic column its default status
+    status = np.full(n + 2 * m, AT_LOWER, dtype=np.int8)
+    kept = col_map >= 0
+    status[col_map[kept]] = basis.status[kept]
+    status[basic] = BASIC
+    return Basis(basic, status)
 
 
 def solve_ded_no_loss(instance: SystemInstance,
@@ -124,7 +158,7 @@ def solve_ded_no_loss(instance: SystemInstance,
     if reason is not None:
         raise InfeasibleError(reason)
     model, varmap = build_milp1(instance, tangent_steps=config.tangent_steps)
-    sol, elapsed = _run_milp(model, varmap, config, "lossless dispatch")
+    sol, _, elapsed = _run_milp(model, varmap, config, "lossless dispatch")
     schedule = varmap.extract_schedule(sol.values)
     audit = evaluate_violations(instance, schedule, use_loss=False)
     cost = evaluate_cost(instance, schedule)
@@ -157,55 +191,47 @@ def solve_ded_with_loss(instance: SystemInstance,
         raise InfeasibleError(reason)
 
     iterations: list[IaIteration] = []
-    candidates: list[tuple[int, Schedule, MilpSolution]] = []
+    passes = []  # (k, schedule, MILP solution, audit) per pass
+    model = basis = None
 
-    model, varmap = build_milp1(instance, tangent_steps=config.tangent_steps)
-    sol, elapsed = _run_milp(model, varmap, config, "pass 1 (lossless)")
-    p_prev2 = varmap.extract_schedule(sol.values).p
-    err = _balance_error(instance, p_prev2)
-    iterations.append(IaIteration(k=1, anchor=None, objective=sol.objective,
-                                  max_balance_error=float(err.max()),
-                                  balance_error=err, solve_time_s=elapsed,
-                                  nodes=sol.nodes_explored))
-
-    def lossy_pass(k, anchor):
-        m, vm = build_milp2(instance, tangent_steps=config.tangent_steps,
-                            anchors=anchor)
-        s, dt = _run_milp(m, vm, config, f"pass {k}")
-        sched = vm.extract_schedule(s.values)
-        e = _balance_error(instance, sched.p)
-        iterations.append(IaIteration(k=k, anchor=np.array(anchor, copy=True),
-                                      objective=s.objective,
-                                      max_balance_error=float(e.max()),
-                                      balance_error=e, solve_time_s=dt,
-                                      nodes=s.nodes_explored))
-        return sched, s, e
-
-    sched, milp_sol, err = lossy_pass(2, p_prev2)
-    p_prev1 = sched.p
-    terminated_by = "iter_max"
-    chosen = None
-
-    for k in range(3, config.iter_max + 1):
-        anchor = midpoint_anchor(p_prev2, p_prev1)
-        sched, milp_sol, err = lossy_pass(k, anchor)
-        candidates.append((k, sched, milp_sol))
-        if float(err.max()) < config.epsilon:
-            terminated_by = "epsilon"
-            chosen = (k, sched, milp_sol)
-            break
-        p_prev2, p_prev1 = p_prev1, sched.p
-
-    if chosen is None:
-        if not candidates:
-            # iter_max < 3 leaves only the pass-2 dispatch to fall back on
-            chosen = (2, sched, milp_sol)
+    def run_pass(k, anchor):
+        nonlocal model, basis
+        if anchor is None:
+            new, varmap = build_milp1(instance, tangent_steps=config.tangent_steps)
         else:
-            chosen = min(candidates,
-                         key=lambda c: iterations[c[0] - 1].max_balance_error)
+            new, varmap = build_milp2(instance, tangent_steps=config.tangent_steps,
+                                      anchors=anchor)
+        warm = _carry_basis(basis, model, new)
+        model = new
+        sol, basis, elapsed = _run_milp(
+            new, varmap, config, f"pass {k}" if k > 1 else "pass 1 (lossless)", warm)
+        sched = varmap.extract_schedule(sol.values)
+        audit = evaluate_violations(instance, sched, use_loss=True)
+        iterations.append(IaIteration(
+            k=k, anchor=None if anchor is None else np.array(anchor, copy=True),
+            objective=sol.objective, max_balance_error=audit.max_violation,
+            balance_error=audit.balance_violation, solve_time_s=elapsed,
+            nodes=sol.nodes_explored))
+        passes.append((k, sched, sol, audit))
+        return sched.p
 
-    chosen_k, schedule, milp_sol = chosen
-    audit = evaluate_violations(instance, schedule, use_loss=True)
+    p_prev2 = run_pass(1, None)
+    p_prev1 = run_pass(2, p_prev2)
+    terminated_by = "iter_max"
+    for k in range(3, config.iter_max + 1):
+        p = run_pass(k, midpoint_anchor(p_prev2, p_prev1))
+        if iterations[-1].max_balance_error < config.epsilon:
+            terminated_by = "epsilon"
+            break
+        p_prev2, p_prev1 = p_prev1, p
+
+    if terminated_by == "epsilon" or len(passes) == 2:
+        # iter_max < 3 leaves only the pass-2 dispatch to fall back on
+        chosen = passes[-1]
+    else:
+        chosen = min(passes[2:], key=lambda c: iterations[c[0] - 1].max_balance_error)
+
+    chosen_k, schedule, milp_sol, audit = chosen
     cost = evaluate_cost(instance, schedule)
     return DispatchReport(schedule=schedule, cost=cost,
                           surrogate_objective=milp_sol.objective,

@@ -9,5 +9,10 @@ class InfeasibleError(RuntimeError):
     """A requested dispatch (or reference solve) has no feasible solution."""
 
 
+class SolveLimitError(RuntimeError):
+    """A time or node limit stopped a search before it found any feasible
+    dispatch, so nothing is known about feasibility."""
+
+
 class EnumerationCapError(ValueError):
     """An exhaustive oracle would exceed its configured enumeration cap."""

@@ -20,9 +20,16 @@ Revised simplex with an explicit basis inverse.  Design points:
   slack basic at its own position;
 * cold starts crash onto slacks where the initial residual fits the slack
   bounds and artificials elsewhere, then run two-phase primal simplex;
-* warm starts (same model, changed variable bounds) factor the supplied
-  basis and run dual simplex until primal feasibility is restored, which
-  makes a re-solve of an already-optimal basis cost zero pivots;
+* warm starts factor the supplied basis and run dual simplex until primal
+  feasibility is restored, then primal simplex, which makes a re-solve of an
+  already-optimal basis cost zero pivots.  The basis may come from a model
+  whose bounds, coefficients or rhs differ (a branch-and-bound child, the
+  next pass of the loss loop).  Where it prices a nonbasic column with the
+  wrong sign, that column's cost is shifted by minus its reduced cost for
+  the dual phase (cost shifting), and the primal phase runs on the true
+  costs;
+* a phase-1 "infeasible" holds only if phase 1 also stops above tolerance
+  when restarted from a fresh factorization;
 * pricing takes the largest reduced cost scaled by column norm, with a
   switch to Bland's rule after 1,000 degenerate steps;
 * both ratio tests are Harris two-pass: the first pass bounds the step with
@@ -562,12 +569,18 @@ class _Run:
             c1 = np.zeros(self.prep.ncols)
             arts = self.prep.n_struct + self.prep.m + np.flatnonzero(art_used)
             c1[arts] = np.where(np.isfinite(self.lo[arts]), 1.0, -1.0)
+            tol = 10 * FEAS_TOL * max(1.0, float(np.abs(self.prep.b).max(initial=0.0)))
             status = self._primal(c1)
+            if status == OPTIMAL and float(c1 @ self._compute_x()) > tol:
+                # the reduced costs were updated pivot by pivot; "infeasible"
+                # holds only if phase 1 also stops on a fresh factorization
+                if not self._factor():
+                    return _RESTART
+                status = self._primal(c1)
+                if status == OPTIMAL and float(c1 @ self._compute_x()) > tol:
+                    return INFEASIBLE
             if status != OPTIMAL:
                 return status
-            infeas = float(c1 @ self._compute_x())
-            if infeas > 10 * FEAS_TOL * max(1.0, float(np.abs(self.prep.b).max(initial=0.0))):
-                return INFEASIBLE
         self._close_artificials()
         return self._primal(c)
 
@@ -609,14 +622,14 @@ class _Run:
         bad[sel] = np.maximum(-d[sel], 0.0)
         sel = movable & ((self.status == AT_UPPER) | (self.status == FREE_ZERO))
         bad[sel] = np.maximum(bad[sel], np.maximum(d[sel], 0.0))
-        if bad.max(initial=0.0) > 1e-6:
-            return self._cold(c)
-        status = self._dual(c)
+        # y depends only on basic costs, so shifting each wrongly signed
+        # nonbasic cost by -d zeroes its reduced cost and nothing else's
+        status = self._dual(c + np.where(bad > 1e-6, -d, 0.0))
         if status == _RESTART:
             return self._cold(c)
         if status != OPTIMAL:
-            return status
-        return self._primal(c)
+            return status  # a row that proves infeasibility does so at any costs
+        return self._primal(c)  # back to the true costs
 
     # ----- primal simplex --------------------------------------------------
 

@@ -19,9 +19,10 @@ from dedpoz import (
     solve_ded_no_loss,
     solve_ded_with_loss,
 )
-from dedpoz import engine
-from dedpoz.milp import tangent_gap_bound
+from dedpoz import BnbConfig, build_milp1, build_milp2, engine, solve_milp
+from dedpoz.milp import lp_relaxation, tangent_gap_bound
 from dedpoz.oracle import dp_error_bound, dp_exact_dispatch
+from dedpoz.simplex import OPTIMAL, PreparedLp, _Run
 from support import (
     loop_cost,
     loop_loss_mw,
@@ -172,10 +173,9 @@ def test_lossy_loop_converges_and_reports_iterations():
 def test_anchor_policy_replays_exactly():
     # pass 2 linearizes around the lossless dispatch; pass 3 around the
     # midpoint of the pass-1 and pass-2 dispatches.  The solver stack is
-    # deterministic, so replaying the first two passes by hand must
-    # reproduce the recorded anchors bit for bit.
-    from dedpoz import BnbConfig, build_milp1, build_milp2, solve_milp
-
+    # deterministic, so replaying the first two passes by hand, with pass 2
+    # started from pass 1's root basis as the loop does, must reproduce the
+    # recorded anchors bit for bit.
     rng = np.random.default_rng(47)
     instance = random_lossy_instance(rng)
     cfg = IaConfig(gap=1e-5)
@@ -186,13 +186,73 @@ def test_anchor_policy_replays_exactly():
     bnb = BnbConfig(gap=cfg.gap, time_limit_s=cfg.time_limit_s,
                     node_limit=cfg.node_limit)
     m1, vm1 = build_milp1(instance, tangent_steps=cfg.tangent_steps)
-    p1 = vm1.extract_schedule(solve_milp(m1, vm1, bnb).values).p
+    s1 = solve_milp(m1, vm1, bnb)
+    p1 = vm1.extract_schedule(s1.values).p
     np.testing.assert_array_equal(report.iterations[1].anchor, p1)
     if len(report.iterations) >= 3:
         m2, vm2 = build_milp2(instance, cfg.tangent_steps, p1)
-        p2 = vm2.extract_schedule(solve_milp(m2, vm2, bnb).values).p
+        warm = engine._carry_basis(s1.root_basis, m1, m2)
+        p2 = vm2.extract_schedule(solve_milp(m2, vm2, bnb, warm_start=warm).values).p
         np.testing.assert_array_equal(report.iterations[2].anchor,
                                       midpoint_anchor(p1, p2))
+
+
+def test_carried_bases_give_the_cold_passes_answers(monkeypatch):
+    rng = np.random.default_rng(71)
+    instances = [random_lossy_instance(rng) for _ in range(4)]
+    cfg = IaConfig(gap=1e-5)
+    carried = [solve_ded_with_loss(inst, cfg) for inst in instances]
+    monkeypatch.setattr(engine, "_carry_basis", lambda basis, old, new: None)
+    for inst, warm in zip(instances, carried):
+        cold = solve_ded_with_loss(inst, cfg)
+        assert warm.terminated_by == cold.terminated_by
+        assert warm.chosen_k == cold.chosen_k
+        assert len(warm.iterations) == len(cold.iterations)
+        for a, b in zip(warm.iterations[1:], cold.iterations[1:]):
+            np.testing.assert_allclose(a.anchor, b.anchor, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(warm.schedule.p, cold.schedule.p, rtol=0, atol=1e-9)
+
+
+def lossy_pair(seed):
+    """MILP-1, the MILP-2 linearized at MILP-1's dispatch, and MILP-1's
+    root basis."""
+    instance = random_lossy_instance(np.random.default_rng(seed))
+    m1, vm1 = build_milp1(instance, tangent_steps=4)
+    s1 = solve_milp(m1, vm1, BnbConfig(gap=1e-5))
+    m2, _ = build_milp2(instance, 4, vm1.extract_schedule(s1.values).p)
+    return m1, m2, s1.root_basis
+
+
+def test_mapped_basis_fits_milp2_and_saves_pivots(monkeypatch):
+    m1, m2, basis = lossy_pair(73)
+    warm = engine._carry_basis(basis, m1, m2)
+    m, ncols = m2.n_constraints, m2.n_variables + 2 * m2.n_constraints
+    assert warm.basic_idx.shape == (m,) and warm.status.shape == (ncols,)
+    assert np.unique(warm.basic_idx).size == m
+    assert np.all((warm.basic_idx >= 0) & (warm.basic_idx < ncols))
+    qloss = [j for j, v in enumerate(m2.variables) if v.name.startswith("qloss")]
+    assert set(qloss) <= set(warm.basic_idx.tolist())
+
+    cold = PreparedLp(lp_relaxation(m2)).solve()
+
+    def no_cold(run, c):
+        raise AssertionError("the carried basis fell back to a cold start")
+
+    monkeypatch.setattr(_Run, "_cold", no_cold)
+    carried = PreparedLp(lp_relaxation(m2)).solve(warm_start=warm)
+    assert cold.status == carried.status == OPTIMAL
+    assert carried.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert carried.pivots < cold.pivots
+
+
+def test_basis_that_does_not_fit_is_dropped():
+    m1, m2, basis = lossy_pair(73)
+    # one more structural column than MILP-1 and no new row to pay for it
+    extra = dataclasses.replace(m1, variables=m1.variables + m2.variables[-1:])
+    assert engine._carry_basis(basis, m1, extra) is None
+    same = engine._carry_basis(basis, m1, m1)
+    np.testing.assert_array_equal(same.basic_idx, basis.basic_idx)
+    np.testing.assert_array_equal(same.status, basis.status)
 
 
 def test_exhausted_iterations_fall_back_to_best_pass():

@@ -530,6 +530,16 @@ def test_cli_infeasible_exit_code(tmp_path, capsys):
     assert "total capacity" in err
 
 
+def test_cli_limit_before_any_incumbent_is_not_infeasibility(tmp_path, capsys):
+    # the search stops before its first node: nothing is known about
+    # feasibility, so the exit code is the one for limits
+    path = _write_json(tmp_path, instance_dict())
+    assert main(["solve", "--instance", path, "--time-limit", "0"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("limit:")
+    assert "no feasible dispatch exists" not in err
+
+
 def test_cli_bench(tmp_path, capsys):
     path = _write_json(tmp_path, instance_dict())
     rc = main(["bench", "--instance", path, "--duplicate-factors", "2",

@@ -373,6 +373,84 @@ def test_optimal_exit_that_breaks_a_bound_is_repaired_or_withheld(monkeypatch):
     assert stuck.status == ITERATION_LIMIT
 
 
+# ----- warm starts from another model's basis; the phase-1 exit -------------
+
+@st.composite
+def perturbed_pairs(draw):
+    """A random bounded LP and a copy with changed row coefficients and rhs."""
+    model = draw(bounded_lps())
+    rows = []
+    for con in model.constraints:
+        coeffs = tuple((j, c) for j, _ in con.coeffs if (c := draw(HALVES)) != 0.0)
+        rows.append(dataclasses.replace(con, coeffs=coeffs or ((0, 1.0),),
+                                        rhs=draw(HALVES)))
+    return model, dataclasses.replace(model, constraints=tuple(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_pairs())
+def test_warm_start_from_a_perturbed_copys_basis_matches_cold(pair):
+    model, perturbed = pair
+    donor = PreparedLp(perturbed).solve()
+    warm = PreparedLp(model).solve(warm_start=donor.basis)
+    cold = PreparedLp(model).solve()
+    assert warm.status == cold.status
+    if cold.status == OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-7, abs=1e-9)
+        for sol in (warm, cold):
+            _check_primal_feasible(model, sol.values, tol=1e-6)
+
+
+def test_dual_infeasible_warm_basis_is_shifted_not_restarted(monkeypatch):
+    bounds = [(0.0, 5.0), (0.0, 5.0)]
+    rows = [([(0, 1.0), (1, 1.0)], GE, 2.0)]
+    # optimal basis: x0 basic at 2, x1 at its lower bound; under the new
+    # costs x1 prices at 1 - 3 < 0, so the basis is dual infeasible
+    basis = solve_lp(lp(bounds, rows, [(0, 1.0), (1, 3.0)])).basis
+    repriced = lp(bounds, rows, [(0, 3.0), (1, 1.0)])
+    cold = solve_lp(repriced)
+
+    dual = _Run._dual
+    shifted = []
+
+    def spy(run, c):
+        shifted.append(not np.array_equal(c, run.prep.c))
+        return dual(run, c)
+
+    def no_cold(run, c):
+        raise AssertionError("the warm start fell back to a cold start")
+
+    monkeypatch.setattr(_Run, "_dual", spy)
+    monkeypatch.setattr(_Run, "_cold", no_cold)
+    warm = solve_lp(repriced, warm_start=basis)
+    assert shifted == [True]
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    np.testing.assert_allclose(warm.values, [0.0, 2.0], atol=1e-12)
+
+
+def test_phase_one_infeasible_exit_is_rechecked(monkeypatch):
+    # every row needs an artificial, so the first _primal call is phase 1;
+    # the stub stops it at once, on an infeasible point of a feasible LP
+    model = lp([(0.0, 10.0), (0.0, 10.0), (0.0, 10.0)],
+               [([(0, 1.0), (1, 1.0)], EQ, 6.0),
+                ([(1, 1.0), (2, 1.0)], EQ, 7.0),
+                ([(0, 1.0), (2, 1.0)], EQ, 5.0)],
+               [(0, 1.0), (1, 2.0), (2, 3.0)])
+    primal = _Run._primal
+    calls = []
+
+    def early_first(run, c):
+        calls.append(c)
+        return OPTIMAL if len(calls) == 1 else primal(run, c)
+
+    monkeypatch.setattr(_Run, "_primal", early_first)
+    sol = solve_lp(model)
+    assert len(calls) == 3  # the stub, phase 1 again, phase 2
+    assert sol.status == OPTIMAL
+    np.testing.assert_allclose(sol.values, [2.0, 4.0, 3.0], atol=1e-8)
+
+
 # ----- working rows: lazy rows join only when the optimum breaks them -------
 
 def test_rows_left_out_keep_their_model_shape():
