@@ -43,6 +43,13 @@ class BnbConfig:
 
 @dataclass(frozen=True)
 class MilpSolution:
+    """Outcome of a branch-and-bound search.
+
+    ``status`` is ``infeasible`` whenever the search ends with no incumbent,
+    including when a time or node limit stops it first; ``limit_hit`` tells
+    that case apart from a proof of infeasibility.
+    """
+
     status: str
     values: np.ndarray | None
     objective: float
@@ -102,6 +109,10 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
     ``varmap`` enables the segment-rounding incumbent heuristic; pass None
     for a generic model.  ``warm_start`` is a model-shape ``Basis`` for the
     root LP; the root LP's optimal basis is returned as ``root_basis``.
+
+    A search that a limit stops before any incumbent returns status
+    ``infeasible`` with ``limit_hit`` True; only ``limit_hit`` False makes
+    ``infeasible`` a proof.
     """
     config = config or BnbConfig()
     start = time.perf_counter()

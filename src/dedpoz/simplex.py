@@ -4,7 +4,8 @@ Revised simplex with an explicit basis inverse.  Design points:
 
 * columns are laid out as [structural | one slack per row | one artificial
   per row]; equality rows get a slack fixed at zero, so every row is handled
-  natively without splitting;
+  natively without splitting.  Artificials are fixed at zero and no pivot
+  brings one into the basis; the block keeps the shape of a ``Basis``;
 * the constraint matrix lives in coordinate/column index arrays (dispatch
   models carry only a few nonzeros per row), and every full-matrix product
   runs over the nonzeros only;
@@ -18,25 +19,27 @@ Revised simplex with an explicit basis inverse.  Design points:
   branch-and-bound nodes start from the root's rows.  Bases, duals and
   ``m`` keep the shape of the whole model; a row left out holds its own
   slack basic at its own position;
-* cold starts crash onto slacks where the initial residual fits the slack
-  bounds and artificials elsewhere, then run two-phase primal simplex;
-* warm starts factor the supplied basis and run dual simplex until primal
-  feasibility is restored, then primal simplex, which makes a re-solve of an
-  already-optimal basis cost zero pivots.  The basis may come from a model
-  whose bounds, coefficients or rhs differ (a branch-and-bound child, the
-  next pass of the loss loop).  Where it prices a nonbasic column with the
-  wrong sign, that column's cost is shifted by minus its reduced cost for
-  the dual phase (cost shifting), and the primal phase runs on the true
-  costs;
-* a phase-1 "infeasible" holds only if phase 1 also stops above tolerance
-  when restarted from a fresh factorization;
+* every solve starts by dual simplex, then finishes by primal simplex.  A
+  cold start factors a crash basis: every row's slack, except that each
+  free structural column (the segment cost epigraphs) takes the row where
+  its entry is largest among the rows no earlier pick touches, which keeps
+  the basis triangular.  A warm start factors the supplied basis, which may
+  come from a model whose bounds, coefficients or rhs differ (a
+  branch-and-bound child, the next pass of the loss loop); re-solving an
+  already-optimal basis costs zero pivots.  Either way, a boxed nonbasic
+  column that prices with the wrong sign moves to its other bound, and any
+  other one has its cost shifted by minus its reduced cost for the dual
+  phase (cost shifting); the primal phase runs on the true costs;
+* dual simplex reports "infeasible" only from a row read on a fresh
+  factorization: a row with no entering column after pivots triggers a
+  refactorization and a rescan first;
 * pricing takes the largest reduced cost scaled by column norm, with a
   switch to Bland's rule after 1,000 degenerate steps;
 * both ratio tests are Harris two-pass: the first pass bounds the step with
   every bound (or reduced cost) relaxed by ``HARRIS_TOL``, the second takes
   the largest pivot among the rows (columns) that block within it, so a
   near-zero pivot is not taken while a sound one blocks almost as early;
-* most basic columns are slacks or artificials, i.e. unit vectors, so a
+* most basic columns are slacks, i.e. unit vectors, so a
   refactorization inverts only the kernel: the structural basic columns
   restricted to the rows no unit column covers.  The rest of the inverse
   follows from the kernel inverse by block elimination;
@@ -460,6 +463,7 @@ class _Run:
             return False
         if not np.all(np.isfinite(kernel_inv)):
             return False
+        self.b_inv = None  # hold one m x m inverse at a time, not two
         b_inv = np.zeros((m, m))
         b_inv[np.ix_(s_pos, k_rows)] = kernel_inv
         b_inv[np.ix_(u_pos, k_rows)] = -(cols[ru] @ kernel_inv)
@@ -530,59 +534,30 @@ class _Run:
 
     # ----- start paths -----------------------------------------------------
 
-    def _crash(self):
+    def _crash(self) -> bool:
+        """All-slack basis, with each free structural column made basic on
+        the row where its entry is largest among the rows no earlier pick
+        touches.  Each pick's row is zero in the columns picked before it,
+        so the basis is triangular."""
         prep = self.prep
         n, m = prep.n_struct, prep.m
-        self.lo[n + m:] = 0.0
-        self.hi[n + m:] = 0.0
         self.status = _default_status(self.lo, self.hi)
-        x = np.zeros(prep.ncols)
-        at_lo = self.status == AT_LOWER
-        at_hi = self.status == AT_UPPER
-        x[at_lo] = self.lo[at_lo]
-        x[at_hi] = self.hi[at_hi]
-        x[n:] = 0.0
-        resid = prep.b - prep.ax(x)
-        # a slack absorbs the residual where its bounds allow, else an artificial
-        art_used = ~((self.lo[n:n + m] - 1e-9 <= resid) & (resid <= self.hi[n:n + m] + 1e-9))
-        rows = np.arange(m)
-        self.basic = np.where(art_used, n + m + rows, n + rows)
-        arts = n + m + np.flatnonzero(art_used)
-        up = resid[art_used] >= 0.0
-        self.lo[arts] = np.where(up, 0.0, -np.inf)
-        self.hi[arts] = np.where(up, np.inf, 0.0)
+        self.basic = n + np.arange(m)
+        touched = np.zeros(m, dtype=bool)
+        for j in np.flatnonzero(np.isneginf(self.lo[:n]) & np.isposinf(self.hi[:n])):
+            s, e = prep.col_ptr[j], prep.col_ptr[j + 1]
+            rows, mag = prep.col_rows[s:e], np.abs(prep.col_vals[s:e])
+            open_rows = ~touched[rows] & (mag > 0.0)
+            if open_rows.any():
+                self.basic[rows[open_rows][np.argmax(mag[open_rows])]] = j
+                touched[rows] = True
         self.status[self.basic] = BASIC
-        self._factor()
-        return art_used
-
-    def _close_artificials(self):
-        prep = self.prep
-        start = prep.n_struct + prep.m
-        self.lo[start:] = 0.0
-        self.hi[start:] = 0.0
-        arts = self.status[start:]
-        arts[arts != BASIC] = AT_LOWER
+        return self._factor()
 
     def _cold(self, c) -> str:
-        art_used = self._crash()
-        if art_used.any():
-            c1 = np.zeros(self.prep.ncols)
-            arts = self.prep.n_struct + self.prep.m + np.flatnonzero(art_used)
-            c1[arts] = np.where(np.isfinite(self.lo[arts]), 1.0, -1.0)
-            tol = 10 * FEAS_TOL * max(1.0, float(np.abs(self.prep.b).max(initial=0.0)))
-            status = self._primal(c1)
-            if status == OPTIMAL and float(c1 @ self._compute_x()) > tol:
-                # the reduced costs were updated pivot by pivot; "infeasible"
-                # holds only if phase 1 also stops on a fresh factorization
-                if not self._factor():
-                    return _RESTART
-                status = self._primal(c1)
-                if status == OPTIMAL and float(c1 @ self._compute_x()) > tol:
-                    return INFEASIBLE
-            if status != OPTIMAL:
-                return status
-        self._close_artificials()
-        return self._primal(c)
+        if not self._crash():
+            return _RESTART
+        return self._dual_start(c)
 
     def _load_warm(self) -> bool:
         warm = self.warm
@@ -614,19 +589,25 @@ class _Run:
     def _warm(self, c) -> str:
         if not self._load_warm():
             return self._cold(c)
+        return self._dual_start(c)
+
+    def _dual_start(self, c) -> str:
+        """From a factored basis: make it dual feasible, run dual simplex to
+        primal feasibility, then primal simplex on the true costs.
+
+        A boxed nonbasic column that prices with the wrong sign moves to its
+        other bound.  Any other one has its cost shifted by minus its
+        reduced cost for the dual phase; y depends only on basic costs, so
+        that zeroes its reduced cost and nothing else's."""
         y = self.b_inv.T @ c[self.basic]
         d = c - self.prep.aty(y)
         movable = (self.lo < self.hi) & (self.status != BASIC)
-        bad = np.zeros(self.prep.ncols)
-        sel = movable & ((self.status == AT_LOWER) | (self.status == FREE_ZERO))
-        bad[sel] = np.maximum(-d[sel], 0.0)
-        sel = movable & ((self.status == AT_UPPER) | (self.status == FREE_ZERO))
-        bad[sel] = np.maximum(bad[sel], np.maximum(d[sel], 0.0))
-        # y depends only on basic costs, so shifting each wrongly signed
-        # nonbasic cost by -d zeroes its reduced cost and nothing else's
-        status = self._dual(c + np.where(bad > 1e-6, -d, 0.0))
-        if status == _RESTART:
-            return self._cold(c)
+        up = movable & ((self.status == AT_LOWER) | (self.status == FREE_ZERO)) & (d < -1e-6)
+        down = movable & ((self.status == AT_UPPER) | (self.status == FREE_ZERO)) & (d > 1e-6)
+        boxed = np.isfinite(self.lo) & np.isfinite(self.hi)
+        self.status[up & boxed] = AT_UPPER
+        self.status[down & boxed] = AT_LOWER
+        status = self._dual(c + np.where((up | down) & ~boxed, -d, 0.0))
         if status != OPTIMAL:
             return status  # a row that proves infeasibility does so at any costs
         return self._primal(c)  # back to the true costs
@@ -757,7 +738,14 @@ class _Run:
                     | ((self.status == FREE_ZERO) & (np.abs(alpha) > PIVOT_TOL)))
                 denom = alpha
             if not elig.any():
-                return INFEASIBLE
+                if self.since_refactor == 0:
+                    return INFEASIBLE
+                # this row decides infeasibility: read it again from a
+                # fresh factorization before trusting it
+                if not self._factor():
+                    return _RESTART
+                self._refresh(c)
+                continue
             ratios = np.full(prep.ncols, np.inf)
             ratios[elig] = np.maximum(d[elig] / denom[elig], 0.0)
             theta = float(ratios.min())

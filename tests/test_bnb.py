@@ -153,6 +153,16 @@ def test_node_limit_interrupts_search():
     assert halted.node_log == ()
 
 
+def test_limit_before_any_incumbent_is_infeasible_with_limit_hit():
+    rng = np.random.default_rng(2)
+    model, varmap = build_milp1(random_lossless_instance(rng), tangent_steps=4)
+    assert solve_milp(model, varmap).status == OPTIMAL_WITHIN_GAP
+    halted = solve_milp(model, varmap, BnbConfig(time_limit_s=0))
+    assert halted.nodes_explored == 0
+    assert halted.status == MILP_INFEASIBLE and halted.limit_hit
+    assert not halted.has_incumbent
+
+
 def test_heuristic_incumbent_never_beats_exact_optimum():
     rng = np.random.default_rng(13)
     for _ in range(6):

@@ -373,7 +373,7 @@ def test_optimal_exit_that_breaks_a_bound_is_repaired_or_withheld(monkeypatch):
     assert stuck.status == ITERATION_LIMIT
 
 
-# ----- warm starts from another model's basis; the phase-1 exit -------------
+# ----- warm starts from another model's basis; the dual start --------------
 
 @st.composite
 def perturbed_pairs(draw):
@@ -401,20 +401,15 @@ def test_warm_start_from_a_perturbed_copys_basis_matches_cold(pair):
             _check_primal_feasible(model, sol.values, tol=1e-6)
 
 
-def test_dual_infeasible_warm_basis_is_shifted_not_restarted(monkeypatch):
-    bounds = [(0.0, 5.0), (0.0, 5.0)]
-    rows = [([(0, 1.0), (1, 1.0)], GE, 2.0)]
-    # optimal basis: x0 basic at 2, x1 at its lower bound; under the new
-    # costs x1 prices at 1 - 3 < 0, so the basis is dual infeasible
-    basis = solve_lp(lp(bounds, rows, [(0, 1.0), (1, 3.0)])).basis
-    repriced = lp(bounds, rows, [(0, 3.0), (1, 1.0)])
-    cold = solve_lp(repriced)
-
+def _spied_warm_start(monkeypatch, repriced, basis):
+    """Warm-solve ``repriced`` from ``basis`` with _cold forbidden; returns
+    the solution and, per _dual call, whether its costs were shifted and
+    the status of column 1 on entry."""
     dual = _Run._dual
-    shifted = []
+    calls = []
 
     def spy(run, c):
-        shifted.append(not np.array_equal(c, run.prep.c))
+        calls.append((not np.array_equal(c, run.prep.c), int(run.status[1])))
         return dual(run, c)
 
     def no_cold(run, c):
@@ -422,33 +417,135 @@ def test_dual_infeasible_warm_basis_is_shifted_not_restarted(monkeypatch):
 
     monkeypatch.setattr(_Run, "_dual", spy)
     monkeypatch.setattr(_Run, "_cold", no_cold)
-    warm = solve_lp(repriced, warm_start=basis)
-    assert shifted == [True]
+    return solve_lp(repriced, warm_start=basis), calls
+
+
+def test_dual_infeasible_warm_basis_is_shifted_not_restarted(monkeypatch):
+    # x1 has no upper bound, so it cannot flip and its cost is shifted
+    bounds = [(0.0, 5.0), (0.0, np.inf)]
+    rows = [([(0, 1.0), (1, 1.0)], GE, 2.0)]
+    # optimal basis: x0 basic at 2, x1 at its lower bound; under the new
+    # costs x1 prices at 1 - 3 < 0, so the basis is dual infeasible
+    basis = solve_lp(lp(bounds, rows, [(0, 1.0), (1, 3.0)])).basis
+    repriced = lp(bounds, rows, [(0, 3.0), (1, 1.0)])
+    cold = solve_lp(repriced)
+    warm, calls = _spied_warm_start(monkeypatch, repriced, basis)
+    assert calls == [(True, AT_LOWER)]
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     np.testing.assert_allclose(warm.values, [0.0, 2.0], atol=1e-12)
 
 
-def test_phase_one_infeasible_exit_is_rechecked(monkeypatch):
-    # every row needs an artificial, so the first _primal call is phase 1;
-    # the stub stops it at once, on an infeasible point of a feasible LP
+def test_dual_infeasible_boxed_column_flips_instead_of_shifting(monkeypatch):
+    bounds = [(0.0, 5.0), (0.0, 5.0)]
+    rows = [([(0, 1.0), (1, 1.0)], GE, 2.0)]
+    basis = solve_lp(lp(bounds, rows, [(0, 1.0), (1, 3.0)])).basis
+    repriced = lp(bounds, rows, [(0, 3.0), (1, 1.0)])
+    cold = solve_lp(repriced)
+    warm, calls = _spied_warm_start(monkeypatch, repriced, basis)
+    # x1 moved to its upper bound, where its negative reduced cost is right
+    assert calls == [(False, AT_UPPER)]
+    assert warm.status == OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    np.testing.assert_allclose(warm.values, [0.0, 2.0], atol=1e-12)
+
+
+def test_dual_infeasible_exit_is_rechecked(monkeypatch):
+    # the cold crash leaves every row's fixed slack basic and out of bounds,
+    # so dual simplex pivots several times; the stub hides every entering
+    # column from the first row scan after a pivot, on a feasible LP
     model = lp([(0.0, 10.0), (0.0, 10.0), (0.0, 10.0)],
                [([(0, 1.0), (1, 1.0)], EQ, 6.0),
                 ([(1, 1.0), (2, 1.0)], EQ, 7.0),
                 ([(0, 1.0), (2, 1.0)], EQ, 5.0)],
                [(0, 1.0), (1, 2.0), (2, 3.0)])
-    primal = _Run._primal
-    calls = []
+    alpha_row = _Run._alpha_row
+    hidden = []
 
-    def early_first(run, c):
-        calls.append(c)
-        return OPTIMAL if len(calls) == 1 else primal(run, c)
+    def blind_once(run, binv_r):
+        alpha = alpha_row(run, binv_r)
+        if run.since_refactor > 0 and not hidden:
+            hidden.append(run.since_refactor)
+            alpha[:] = 0.0
+        return alpha
 
-    monkeypatch.setattr(_Run, "_primal", early_first)
+    monkeypatch.setattr(_Run, "_alpha_row", blind_once)
     sol = solve_lp(model)
-    assert len(calls) == 3  # the stub, phase 1 again, phase 2
+    assert hidden == [1]
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.values, [2.0, 4.0, 3.0], atol=1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_lps())
+def test_no_returned_basis_holds_an_artificial(model):
+    prep = PreparedLp(model)
+    sol = prep.solve()
+    assert np.all(sol.basis.basic_idx < prep.n_struct + prep.m)
+
+
+# ----- status and optimum against HiGHS -------------------------------------
+
+@st.composite
+def open_lps(draw):
+    """A random bounded LP with some bounds removed: free, one-sided and
+    boxed columns together, so unbounded LPs occur as well."""
+    model = draw(bounded_lps())
+    variables = tuple(
+        dataclasses.replace(v, lb=-np.inf if draw(st.booleans()) else v.lb,
+                            ub=np.inf if draw(st.booleans()) else v.ub)
+        if draw(st.integers(0, 2)) == 0 else v
+        for v in model.variables)
+    return dataclasses.replace(model, variables=variables)
+
+
+def highs_status(model):
+    """Status and objective of ``model`` from scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    n = len(model.variables)
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in model.constraints:
+        row = np.zeros(n)
+        for j, coef in con.coeffs:
+            row[j] += coef
+        if con.sense == EQ:
+            a_eq.append(row)
+            b_eq.append(con.rhs)
+        else:
+            sign = 1.0 if con.sense == LE else -1.0
+            a_ub.append(sign * row)
+            b_ub.append(sign * con.rhs)
+    bounds = [(v.lb if np.isfinite(v.lb) else None, v.ub if np.isfinite(v.ub) else None)
+              for v in model.variables]
+
+    def run(cost):
+        return linprog(cost, A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
+                       A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
+                       bounds=bounds, method="highs")
+
+    cost = np.zeros(n)
+    for j, coef in model.objective:
+        cost[j] += coef
+    res = run(cost)
+    if res.status == 0:
+        return OPTIMAL, res.fun + model.objective_constant
+    assert res.status in (2, 3) or "unbounded or infeasible" in res.message, res.message
+    # with no objective an LP cannot be unbounded, so a zero-objective solve
+    # decides feasibility; it also catches HiGHS calling a feasible,
+    # unbounded LP infeasible, which its presolve does on some draws
+    return (UNBOUNDED if run(np.zeros(n)).status == 0 else INFEASIBLE), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_lps())
+def test_status_and_optimum_match_highs(model):
+    pytest.importorskip("scipy")
+    status, objective = highs_status(model)
+    sol = solve_lp(model)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-9)
 
 
 # ----- working rows: lazy rows join only when the optimum breaks them -------
@@ -605,33 +702,28 @@ def test_warm_statuses_match_the_per_column_rule():
         np.testing.assert_array_equal(run.status, expected)
 
 
-def test_crash_basis_matches_the_per_row_rule():
+def test_crash_holds_every_free_column_on_a_triangular_basis():
     rng = np.random.default_rng(21)
-    for model in [lp_relaxation(ladder_root_model(1))] + [random_boxed_lp(rng)
-                                                          for _ in range(10)]:
+    models = [lp_relaxation(ladder_root_model(1)), lp_relaxation(ladder_root_model(3))]
+    for _ in range(10):
+        model = random_boxed_lp(rng)
+        models.append(dataclasses.replace(model, variables=tuple(
+            dataclasses.replace(v, lb=-np.inf, ub=np.inf) if rng.random() < 0.5 else v
+            for v in model.variables)))
+    for k, model in enumerate(models):
         prep = PreparedLp(model)
         n, m = prep.n_struct, prep.m
         run = _Run(prep, None, None, None, DEFAULT_MAX_ITERS)
-        art_used = run._crash()
-        x = np.zeros(prep.ncols)
-        for j in range(n):
-            st_j = reference_default_status(prep.lo_template[j], prep.hi_template[j])
-            if st_j == AT_LOWER:
-                x[j] = prep.lo_template[j]
-            elif st_j == AT_UPPER:
-                x[j] = prep.hi_template[j]
-        resid = prep.b - prep.ax(x)
-        for r in range(m):
-            s_lo, s_hi = prep.lo_template[n + r], prep.hi_template[n + r]
-            a = n + m + r
-            if s_lo - 1e-9 <= resid[r] <= s_hi + 1e-9:
-                assert run.basic[r] == n + r and not art_used[r]
-                assert run.lo[a] == run.hi[a] == 0.0
-            else:
-                assert run.basic[r] == a and art_used[r]
-                expected = (0.0, np.inf) if resid[r] >= 0.0 else (-np.inf, 0.0)
-                assert (run.lo[a], run.hi[a]) == expected
-        assert np.all(run.status[run.basic] == BASIC)
+        assert run._crash()  # factors on the first try
+        basic = run.basic
+        assert np.all(basic < n + m)  # no artificial
+        free = np.flatnonzero(np.isinf(prep.lo_template[:n]) & np.isinf(prep.hi_template[:n]))
+        if k < 2:  # the ladders' segcost columns
+            assert free.size > 0 and np.all(np.isin(free, basic))
+        np.testing.assert_array_equal(np.sort(basic[basic < n]), free[np.isin(free, basic)])
+        assert np.all(run.status[basic] == BASIC)
+        np.testing.assert_allclose(run.b_inv @ dense_basis(prep, basic), np.eye(m),
+                                   rtol=0.0, atol=1e-9)
 
 
 def test_structural_columns_match_the_coordinate_arrays():
