@@ -18,6 +18,7 @@ All rows are expressed in MW; per-unit loss coefficients are folded into the
 row coefficients at build time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +86,17 @@ class MilpModel:
         for idx, coef in self.objective:
             if not 0 <= idx < n:
                 raise ValidationError(f"objective references variable {idx} out of range")
-            if not np.isfinite(coef):
+            if not math.isfinite(coef):
                 raise ValidationError(f"objective coefficient for variable {idx} not finite")
         for con in self.constraints:
             if con.sense not in (LE, EQ, GE):
                 raise ValidationError(f"row {con.name}: unknown sense {con.sense!r}")
-            if not np.isfinite(con.rhs):
+            if not math.isfinite(con.rhs):
                 raise ValidationError(f"row {con.name}: rhs not finite")
             for idx, coef in con.coeffs:
                 if not 0 <= idx < n:
                     raise ValidationError(f"row {con.name}: variable {idx} out of range")
-                if not np.isfinite(coef):
+                if not math.isfinite(coef):
                     raise ValidationError(f"row {con.name}: coefficient not finite")
         return self
 

@@ -13,17 +13,21 @@ Revised simplex with an explicit basis inverse.  Design points:
 * each solve runs on a working row set: every row except the ones the model
   marks lazy (the interior tangent cuts), cut out of the full scaled arrays
   with masks.  At an optimum the rows left out are checked against the
-  point; every broken one joins the set and the solve resumes by dual
-  simplex, since a new row's basic slack keeps the basis dual feasible.
-  The set only grows and is shared by all solves of a prepared model, so
-  branch-and-bound nodes start from the root's rows.  Bases, duals and
-  ``m`` keep the shape of the whole model; a row left out holds its own
-  slack basic at its own position;
+  point; every broken one joins the set inside the same run, with its
+  slack basic, and after one factorization of the grown basis the run
+  resumes by dual simplex, since a new row's basic slack keeps the basis
+  dual feasible.  "None broken" is read again at the iterate recomputed
+  for the exit check.  The set only grows and is shared by all solves of a
+  prepared model, so branch-and-bound nodes start from the root's rows.
+  Bases, duals and ``m`` keep the shape of the whole model; a row left out
+  holds its own slack basic at its own position;
 * every solve starts by dual simplex, then finishes by primal simplex.  A
-  cold start factors a crash basis: every row's slack, except that each
-  free structural column (the segment cost epigraphs) takes the row where
-  its entry is largest among the rows no earlier pick touches, which keeps
-  the basis triangular.  A warm start factors the supplied basis, which may
+  cold start factors a crash basis (Bixby 1992): every row's slack, except
+  that each free structural column (the segment cost epigraphs) takes the
+  row where its entry is largest, and then each equality row takes the
+  nonbasic structural column with its largest entry, both only on rows no
+  earlier pick touches, which keeps the basis triangular and free of
+  artificials.  A warm start factors the supplied basis, which may
   come from a model whose bounds, coefficients or rhs differ (a
   branch-and-bound child, the next pass of the loss loop); re-solving an
   already-optimal basis costs zero pivots.  Either way, a boxed nonbasic
@@ -107,7 +111,12 @@ class _Form:
     """An LP in computational form: scaled rows as coordinate and column
     arrays, rhs, costs and bound templates over the columns [structural |
     one slack per row | one artificial per row].  The simplex runs on any
-    form: a whole prepared model or its working rows."""
+    form: a whole prepared model or its working rows.  Entries of the
+    coordinate arrays are in row order.  ``rows`` lists the model rows the
+    form holds, ``full_col`` maps each of its columns to the model column
+    and ``from_full`` maps back (-1 for the columns of rows left out)."""
+
+    model = None  # the prepared model whose rows left out may join
 
     def ax(self, x: np.ndarray) -> np.ndarray:
         n, m = self.n_struct, self.m
@@ -140,12 +149,11 @@ class _Form:
 
 
 class _WorkingRows(_Form):
-    """The rows of a prepared model picked by ``keep``, cut out with masks.
-    ``full_col`` maps each working column to its model column and
-    ``from_full`` maps back (-1 for the columns of rows left out)."""
+    """The rows of a prepared model picked by ``keep``, cut out with masks."""
 
     def __init__(self, prep, keep):
         n = prep.n_struct
+        self.model = prep
         self.rows = np.flatnonzero(keep)
         self.n_struct, self.m = n, self.rows.size
         self.ncols = n + 2 * self.m
@@ -239,6 +247,8 @@ class PreparedLp(_Form):
         self.n_struct = n
         self.m = m
         self.ncols = n + 2 * m
+        self.rows = np.arange(m)
+        self.full_col = self.from_full = np.arange(self.ncols)
 
         lo = np.empty(self.ncols)
         hi = np.empty(self.ncols)
@@ -281,40 +291,38 @@ class PreparedLp(_Form):
 
     def solve(self, lower=None, upper=None, warm_start=None,
               max_iters=DEFAULT_MAX_ITERS) -> LpSolution:
-        """Solve on the working rows; while the optimum breaks a row left
-        out, add every broken row and re-solve warm from the last basis.
-        ``max_iters`` bounds all rounds together."""
+        """Solve on the working rows; every row left out that the optimum
+        breaks joins them inside the same run, which resumes from its
+        basis.  An unbounded working LP is solved again cold with all rows,
+        which may bound it.  ``max_iters`` bounds both runs together."""
         n = self.n_struct
         lo = self.lo_template[:n] if lower is None else np.asarray(lower, dtype=float)
         hi = self.hi_template[:n] if upper is None else np.asarray(upper, dtype=float)
         if np.any(lo > hi + 1e-12):
             return LpSolution(INFEASIBLE, np.zeros(n), np.inf, np.zeros(self.m),
                               None, 0, 0, 0.0)
-        pivots = iters = 0
-        warm = warm_start
-        while True:
-            work, work_warm = self._start(warm)
-            run = _Run(work, lower, upper, work_warm, max_iters - iters)
+        work, warm = self._start(warm_start)
+        run = _Run(work, lower, upper, warm, max_iters)
+        status = run.solve()
+        pivots, iters = run.pivots, run.iters
+        if status == UNBOUNDED and run.prep is not self:
+            self._activate(~self.active)
+            run = _Run(self, lower, upper, None, max_iters - iters)
             status = run.solve()
             pivots += run.pivots
             iters += run.iters
-            if work is self or status not in (OPTIMAL, UNBOUNDED):
-                break
-            if status == UNBOUNDED:
-                # the rows left out may bound it; a cold start with all rows
-                self._activate(~self.active)
-                warm = None
-                continue
-            broken = ~self.active & (self.row_violation(run.x[:n]) > FEAS_TOL)
-            if not broken.any():
-                break
-            # each added row's slack enters the basis, which keeps it dual
-            # feasible, so dual simplex picks up from there
-            warm = self._model_basis(run)
-            self._activate(broken)
         return self._solution(run, status, pivots, iters)
 
     # ----- working rows ----------------------------------------------------
+
+    def _grow(self, values):
+        """The working rows after every row left out that the structural
+        point ``values`` breaks has joined them; None if none is broken."""
+        broken = ~self.active & (self.row_violation(values) > FEAS_TOL)
+        if not broken.any():
+            return None
+        self._activate(broken)
+        return self._working()
 
     def _activate(self, rows):
         if np.any(rows & ~self.active):
@@ -358,8 +366,6 @@ class PreparedLp(_Form):
         """The run's basis in model shape: a row left out holds its slack
         basic at its own position."""
         work = run.prep
-        if work is self:
-            return Basis(run.basic.copy(), run.status.copy())
         n, m = self.n_struct, self.m
         basic = n + np.arange(m)
         basic[work.rows] = work.full_col[run.basic]
@@ -375,10 +381,8 @@ class PreparedLp(_Form):
         resid = float(np.abs(work.ax(x) - work.b).max(initial=0.0))
         y = run.b_inv.T @ work.c[run.basic]
         duals = np.zeros(self.m)
-        if work is self:
-            duals = y / self.row_scale
-        else:
-            duals[work.rows] = y / work.row_scale
+        duals[work.rows] = y / work.row_scale
+        if work is not self:
             resid = max(resid, float(
                 self.row_violation(values)[~self.active].max(initial=0.0)))
         duals.setflags(write=False)
@@ -535,22 +539,38 @@ class _Run:
     # ----- start paths -----------------------------------------------------
 
     def _crash(self) -> bool:
-        """All-slack basis, with each free structural column made basic on
-        the row where its entry is largest among the rows no earlier pick
-        touches.  Each pick's row is zero in the columns picked before it,
-        so the basis is triangular."""
+        """All-slack basis, then structural picks, each made basic on a row
+        no earlier pick touches: first every free column (the segment cost
+        epigraphs), on the row where its entry is largest; then, on each
+        row whose slack is fixed (an equality row), the nonbasic column
+        whose entry there is largest.  Each pick's row is zero in the
+        columns picked before it, so the basis is triangular."""
         prep = self.prep
         n, m = prep.n_struct, prep.m
         self.status = _default_status(self.lo, self.hi)
         self.basic = n + np.arange(m)
         touched = np.zeros(m, dtype=bool)
+        picked = np.zeros(n, dtype=bool)
+
+        def pick(j, r):
+            self.basic[r] = j
+            picked[j] = True
+            touched[prep.col_rows[prep.col_ptr[j]:prep.col_ptr[j + 1]]] = True
+
         for j in np.flatnonzero(np.isneginf(self.lo[:n]) & np.isposinf(self.hi[:n])):
             s, e = prep.col_ptr[j], prep.col_ptr[j + 1]
             rows, mag = prep.col_rows[s:e], np.abs(prep.col_vals[s:e])
             open_rows = ~touched[rows] & (mag > 0.0)
             if open_rows.any():
-                self.basic[rows[open_rows][np.argmax(mag[open_rows])]] = j
-                touched[rows] = True
+                pick(j, rows[open_rows][np.argmax(mag[open_rows])])
+        row_ptr = np.searchsorted(prep.rows_nz, np.arange(m + 1))  # entries are in row order
+        for r in np.flatnonzero(self.lo[n:n + m] == self.hi[n:n + m]):
+            if touched[r]:
+                continue
+            s, e = row_ptr[r], row_ptr[r + 1]
+            mag = np.where(picked[prep.cols_nz[s:e]], 0.0, np.abs(prep.vals_nz[s:e]))
+            if mag.size and mag.max() > 0.0:
+                pick(prep.cols_nz[s + np.argmax(mag)], r)
         self.status[self.basic] = BASIC
         return self._factor()
 
@@ -787,12 +807,16 @@ class _Run:
 
     def solve(self) -> str:
         """Run to a final status; ``x`` then holds the iterate recomputed
-        from a fresh factorization of the final basis."""
-        prep = self.prep
+        from a fresh factorization of the final basis.
+
+        An optimum that breaks rows the working rows leave out is not
+        final: those rows join, and dual then primal simplex resume.  They
+        are checked at the optimal iterate and once more at the recomputed
+        one, so "none broken" is read from a fresh factorization."""
         if self.warm is not None:
-            status = self._warm(prep.c)
+            status = self._warm(self.prep.c)
         else:
-            status = self._cold(prep.c)
+            status = self._cold(self.prep.c)
         repairs = 0
         while True:
             while status == _RESTART:
@@ -803,7 +827,10 @@ class _Run:
                 # a cold start replays the same pivots, so a bare retry would
                 # livelock; refactorizing more often changes the path
                 self.refactor_every = max(5, self.refactor_every // 4)
-                status = self._cold(prep.c)
+                status = self._cold(self.prep.c)
+            if status == OPTIMAL and self._join_broken():
+                status = self._resume() if self._factor() else _RESTART
+                continue
             if self.since_refactor > 0:
                 self._factor()
             self.x = self._compute_x()
@@ -814,10 +841,42 @@ class _Run:
             xb = self.x[self.basic]
             if np.all((xb >= self.lo[self.basic] - FEAS_TOL)
                       & (xb <= self.hi[self.basic] + FEAS_TOL)):
-                return status
+                if not self._join_broken():
+                    return status
+                status = self._resume() if self._factor() else _RESTART
+                continue
             if repairs == 2:
                 return ITERATION_LIMIT
             repairs += 1
-            status = self._dual(prep.c)
-            if status == OPTIMAL:
-                status = self._primal(prep.c)
+            status = self._resume()
+
+    def _resume(self) -> str:
+        status = self._dual(self.prep.c)
+        return self._primal(self.prep.c) if status == OPTIMAL else status
+
+    def _join_broken(self) -> bool:
+        """Move onto the working rows grown by every row left out that the
+        iterate breaks, each new row holding its own slack basic; False if
+        none is broken.  The grown basis still needs its factorization.
+
+        The new slacks have zero cost, so the duals of the old rows stay
+        and the new rows price at zero: an optimal basis stays dual
+        feasible and dual simplex picks up from it."""
+        old = self.prep
+        if old.model is None:
+            return False
+        new = old.model._grow(self.x[:old.n_struct])
+        if new is None:
+            return False
+        n = old.n_struct
+        to_new = new.from_full[old.full_col]
+        lo, hi = new.lo_template.copy(), new.hi_template.copy()
+        lo[to_new], hi[to_new] = self.lo, self.hi
+        status = _default_status(lo, hi)
+        status[to_new] = self.status
+        basic = n + np.arange(new.m)
+        basic[new.from_full[n + old.rows] - n] = to_new[self.basic]
+        status[basic] = BASIC
+        self.prep, self.lo, self.hi, self.basic, self.status = new, lo, hi, basic, status
+        self.b_inv = None  # the old inverse has the old shape
+        return True

@@ -229,6 +229,10 @@ def test_model_validate_rejects_bad_pieces():
         MilpModel((ok_var,), (Constraint("r", ((0, 1.0),), "<", 0.0),), ()).validate()
     with pytest.raises(ValidationError, match="rhs not finite"):
         MilpModel((ok_var,), (Constraint("r", ((0, 1.0),), LE, np.inf),), ()).validate()
+    with pytest.raises(ValidationError, match="row r: coefficient not finite"):
+        MilpModel((ok_var,), (Constraint("r", ((0, np.nan),), LE, 0.0),), ()).validate()
+    with pytest.raises(ValidationError, match="objective coefficient for variable 0 not finite"):
+        MilpModel((ok_var,), (), ((0, -np.inf),)).validate()
     with pytest.raises(ValidationError, match="variable 5 out of range"):
         MilpModel((ok_var,), (Constraint("r", ((5, 1.0),), LE, 0.0),), ()).validate()
 

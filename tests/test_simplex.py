@@ -451,14 +451,14 @@ def test_dual_infeasible_boxed_column_flips_instead_of_shifting(monkeypatch):
 
 
 def test_dual_infeasible_exit_is_rechecked(monkeypatch):
-    # the cold crash leaves every row's fixed slack basic and out of bounds,
-    # so dual simplex pivots several times; the stub hides every entering
-    # column from the first row scan after a pivot, on a feasible LP
+    # the cold crash keeps every inequality row's slack basic, here out of
+    # bounds, so dual simplex pivots several times; the stub hides every
+    # entering column from the first row scan after a pivot, on a feasible LP
     model = lp([(0.0, 10.0), (0.0, 10.0), (0.0, 10.0)],
-               [([(0, 1.0), (1, 1.0)], EQ, 6.0),
-                ([(1, 1.0), (2, 1.0)], EQ, 7.0),
-                ([(0, 1.0), (2, 1.0)], EQ, 5.0)],
-               [(0, 1.0), (1, 2.0), (2, 3.0)])
+               [([(0, 1.0), (1, 1.0)], GE, 6.0),
+                ([(1, 1.0), (2, 1.0)], GE, 7.0),
+                ([(0, 1.0), (2, 1.0)], GE, 5.0)],
+               [(0, 2.0), (1, 2.0), (2, 3.0)])
     alpha_row = _Run._alpha_row
     hidden = []
 
@@ -650,6 +650,65 @@ def test_iteration_budget_is_shared_by_all_rounds():
     assert prep.active.sum() > rows_before
 
 
+def test_rows_join_inside_one_run_at_one_factorization_a_round(monkeypatch):
+    model = ladder_root_model(1)
+    prep = PreparedLp(lp_relaxation(model))
+    runs, events = [], []
+    init, factor, join = _Run.__init__, _Run._factor, _Run._join_broken
+
+    def spy_init(run, *args):
+        runs.append(run)
+        init(run, *args)
+
+    def spy_factor(run):
+        events.append(("factor", run.pivots))
+        return factor(run)
+
+    def spy_join(run):
+        grown = join(run)
+        if grown:
+            events.append(("join", run.pivots))
+        return grown
+
+    monkeypatch.setattr(_Run, "__init__", spy_init)
+    monkeypatch.setattr(_Run, "_factor", spy_factor)
+    monkeypatch.setattr(_Run, "_join_broken", spy_join)
+    sol = prep.solve()
+    assert len(runs) == 1
+    joins = [k for k, (kind, _) in enumerate(events) if kind == "join"]
+    assert joins
+    for k in joins:
+        # no exit refactorization before the rows join, one after
+        at = events[k][1]
+        assert [kind for kind, p in events if p == at] == ["join", "factor"]
+    eager = PreparedLp(lp_relaxation(unmarked(model))).solve()
+    assert sol.status == eager.status == OPTIMAL
+    assert sol.objective == pytest.approx(eager.objective, rel=1e-9)
+
+
+def test_rows_broken_only_at_the_recomputed_iterate_still_join(monkeypatch):
+    # the stub hides every broken row from the checks on the updated
+    # iterate, so only the check after the exit refactorization sees them
+    model = ladder_root_model(1)
+    join = _Run._join_broken
+    hidden = []
+
+    def hide_before_exit(run):
+        if run.since_refactor > 0:
+            hidden.append(run.pivots)
+            return False
+        return join(run)
+
+    monkeypatch.setattr(_Run, "_join_broken", hide_before_exit)
+    prep = PreparedLp(lp_relaxation(model))
+    sol = prep.solve()
+    assert hidden
+    eager = PreparedLp(lp_relaxation(unmarked(model))).solve()
+    assert sol.status == eager.status == OPTIMAL
+    assert sol.objective == pytest.approx(eager.objective, rel=1e-9)
+    _check_primal_feasible(model, sol.values)
+
+
 # ----- the vectorized start paths keep the per-column rules -----------------
 
 def reference_default_status(lo, hi):
@@ -720,10 +779,34 @@ def test_crash_holds_every_free_column_on_a_triangular_basis():
         free = np.flatnonzero(np.isinf(prep.lo_template[:n]) & np.isinf(prep.hi_template[:n]))
         if k < 2:  # the ladders' segcost columns
             assert free.size > 0 and np.all(np.isin(free, basic))
-        np.testing.assert_array_equal(np.sort(basic[basic < n]), free[np.isin(free, basic)])
+        on_struct = basic < n
+        fixed = prep.lo_template[n:n + m] == prep.hi_template[n:n + m]
+        # a structural sits on a row with a free slack only if it is free
+        assert np.all(np.isin(basic[on_struct & ~fixed], free))
+        # an equality row keeps its slack only if a pick touched it first
+        touched = (dense_basis(prep, basic[on_struct]) != 0.0).any(axis=1)
+        assert np.all(on_struct | ~fixed | touched)
+        if k < 2:
+            assert np.count_nonzero(on_struct & fixed) > 0
         assert np.all(run.status[basic] == BASIC)
         np.testing.assert_allclose(run.b_inv @ dense_basis(prep, basic), np.eye(m),
                                    rtol=0.0, atol=1e-9)
+
+
+def test_crash_seats_the_ladder_equality_rows():
+    model = lp_relaxation(ladder_root_model(1))
+    work = PreparedLp(model)._working()
+    run = _Run(work, None, None, None, DEFAULT_MAX_ITERS)
+    assert run._crash()
+    kinds = np.array([model.constraints[r].name.split("(")[0] for r in work.rows])
+    seated = run.basic < work.n_struct
+    assert np.count_nonzero(kinds == "link") == np.count_nonzero(kinds == "pick_one") == 9
+    assert np.all(seated[(kinds == "link") | (kinds == "pick_one")])
+    # each balance row sums the unit outputs the link rows took, so it
+    # keeps its slack: a pick there would break triangularity
+    balance = kinds == "balance"
+    assert np.count_nonzero(balance) == 3 and not seated[balance].any()
+    assert np.all((dense_basis(work, run.basic[seated])[balance] != 0.0).any(axis=1))
 
 
 def test_structural_columns_match_the_coordinate_arrays():
