@@ -35,8 +35,8 @@ Revised simplex with an explicit basis inverse.  Design points:
   other one has its cost shifted by minus its reduced cost for the dual
   phase (cost shifting); the primal phase runs on the true costs;
 * dual simplex reports "infeasible" only from a row read on a fresh
-  factorization: a row with no entering column after pivots triggers a
-  refactorization and a rescan first;
+  factorization: a row with no entering column after pivots is read again
+  after a refactorization;
 * pricing takes the largest reduced cost scaled by column norm, with a
   switch to Bland's rule after 1,000 degenerate steps;
 * both ratio tests are Harris two-pass: the first pass bounds the step with
@@ -51,11 +51,12 @@ Revised simplex with an explicit basis inverse.  Design points:
   applied only where the entering column and the pivot row are nonzero
   (both are sparse on dispatch models);
 * the iterate and reduced costs are updated per pivot and recomputed from
-  scratch at every refactorization (a few dozen pivots apart, tighter after
-  a numerical restart), which bounds drift;
+  scratch at every refactorization, at the latest ``REFACTOR_EVERY``
+  pivots after the last one;
 * an optimal exit is trusted only after the iterate, recomputed from a
   fresh factorization, meets its bounds; otherwise dual then primal simplex
-  repair it, and a basis that cannot be repaired is not reported optimal.
+  repair it, and a basis that cannot be repaired is not reported optimal;
+* a basis that fails to factor ends the solve as ``iteration_limit``.
 """
 
 from dataclasses import dataclass
@@ -69,7 +70,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
-_RESTART = "_restart"
 
 FEAS_TOL = 1e-7
 DUAL_TOL = 1e-8
@@ -77,7 +77,7 @@ PIVOT_TOL = 1e-9
 HARRIS_TOL = 1e-9
 DEGEN_STEP = 1e-10
 BLAND_AFTER = 1000
-REFACTOR_EVERY = 100
+REFACTOR_EVERY = 400
 DEFAULT_MAX_ITERS = 50_000
 
 BASIC, AT_LOWER, AT_UPPER, FREE_ZERO = 0, 1, 2, 3
@@ -379,9 +379,9 @@ class PreparedLp(_Form):
         values = x[:self.n_struct].copy()
         values.setflags(write=False)
         resid = float(np.abs(work.ax(x) - work.b).max(initial=0.0))
-        y = run.b_inv.T @ work.c[run.basic]
         duals = np.zeros(self.m)
-        duals[work.rows] = y / work.row_scale
+        if run.b_inv is not None:
+            duals[work.rows] = (run.b_inv.T @ work.c[run.basic]) / work.row_scale
         if work is not self:
             resid = max(resid, float(
                 self.row_violation(values)[~self.active].max(initial=0.0)))
@@ -424,12 +424,7 @@ class _Run:
         self.warm = warm_start
         self.status = np.empty(prep.ncols, dtype=np.int8)
         self.basic = np.empty(prep.m, dtype=np.int64)
-        self.b_inv = np.empty((prep.m, prep.m))
-        # rank-1 updates of an explicit inverse drift on degenerate dispatch
-        # bases; keep the refactorization window small enough that the drift
-        # never steers the pivot path (long windows have produced singular
-        # bases and livelocked restarts on tight-capacity instances)
-        self.refactor_every = min(REFACTOR_EVERY, max(20, prep.m // 8))
+        self.b_inv = None  # None while the basis is not factored
         self.x = np.zeros(prep.ncols)
         self.d = np.zeros(prep.ncols)
         self.pivots = 0
@@ -437,12 +432,12 @@ class _Run:
         self.since_refactor = 0
         self.degen = 0
         self.bland = False
-        self.restarts = 0
 
     # ----- state helpers ---------------------------------------------------
 
     def _factor(self) -> bool:
-        """Invert the basis through its structural kernel.
+        """Invert the basis through its structural kernel; False, with no
+        inverse held, if the basis is singular.
 
         With S the structural basic positions, U the unit (slack or
         artificial) ones, ``ru`` the rows U covers and K the rest, the
@@ -451,6 +446,7 @@ class _Run:
         """
         prep = self.prep
         n, m = prep.n_struct, prep.m
+        self.b_inv = None  # hold one m x m inverse at a time, not two
         unit = self.basic >= n
         s_pos = np.flatnonzero(~unit)
         u_pos = np.flatnonzero(unit)
@@ -467,7 +463,6 @@ class _Run:
             return False
         if not np.all(np.isfinite(kernel_inv)):
             return False
-        self.b_inv = None  # hold one m x m inverse at a time, not two
         b_inv = np.zeros((m, m))
         b_inv[np.ix_(s_pos, k_rows)] = kernel_inv
         b_inv[np.ix_(u_pos, k_rows)] = -(cols[ru] @ kernel_inv)
@@ -500,6 +495,13 @@ class _Run:
         y = self.b_inv.T @ c[self.basic]
         self.d = c - self.prep.aty(y)
         self.d[self.basic] = 0.0
+
+    def _refactor(self, c) -> bool:
+        """Factor the basis and refresh from it; False if it is singular."""
+        if not self._factor():
+            return False
+        self._refresh(c)
+        return True
 
     def _w_col(self, q) -> np.ndarray:
         """Basis-transformed column B^-1 a_q."""
@@ -575,9 +577,7 @@ class _Run:
         return self._factor()
 
     def _cold(self, c) -> str:
-        if not self._crash():
-            return _RESTART
-        return self._dual_start(c)
+        return self._dual_start(c) if self._crash() else ITERATION_LIMIT
 
     def _load_warm(self) -> bool:
         warm = self.warm
@@ -642,10 +642,8 @@ class _Run:
         while True:
             if self.iters >= self.max_iters:
                 return ITERATION_LIMIT
-            if self.since_refactor >= self.refactor_every:
-                if not self._factor():
-                    return _RESTART
-                self._refresh(c)
+            if self.since_refactor >= REFACTOR_EVERY and not self._refactor(c):
+                return ITERATION_LIMIT
             x, d = self.x, self.d
             nb = self.status != BASIC
             elig_inc = (nb & movable & (d < -DUAL_TOL)
@@ -693,13 +691,6 @@ class _Run:
                 cands = np.flatnonzero(ratios <= max(theta_basic + 1e-12, min(cap, span)))
                 r = int(cands[np.argmax(np.abs(delta[cands]))])
                 theta_basic = float(ratios[r])
-            if abs(w[r]) <= 10 * PIVOT_TOL and self.since_refactor > 0:
-                # stale basis inverse disagrees with the tableau column;
-                # refactorize and rescan rather than pivot on noise
-                if not self._factor():
-                    return _RESTART
-                self._refresh(c)
-                continue
             leaving = int(self.basic[r])
             to_lower = delta[r] > 0
             x[self.basic] = xb - theta_basic * delta
@@ -726,10 +717,8 @@ class _Run:
         while True:
             if self.iters >= self.max_iters:
                 return ITERATION_LIMIT
-            if self.since_refactor >= self.refactor_every:
-                if not self._factor():
-                    return _RESTART
-                self._refresh(c)
+            if self.since_refactor >= REFACTOR_EVERY and not self._refactor(c):
+                return ITERATION_LIMIT
             x, d = self.x, self.d
             xb = x[self.basic]
             below = self.lo[self.basic] - xb
@@ -762,9 +751,8 @@ class _Run:
                     return INFEASIBLE
                 # this row decides infeasibility: read it again from a
                 # fresh factorization before trusting it
-                if not self._factor():
-                    return _RESTART
-                self._refresh(c)
+                if not self._refactor(c):
+                    return ITERATION_LIMIT
                 continue
             ratios = np.full(prep.ncols, np.inf)
             ratios[elig] = np.maximum(d[elig] / denom[elig], 0.0)
@@ -778,13 +766,6 @@ class _Run:
                 q = int(cands[np.argmax(np.abs(alpha[cands]))])
             w = self._w_col(q)
             piv = w[r]
-            if abs(piv) <= PIVOT_TOL and self.since_refactor > 0:
-                # stale basis inverse disagrees with the tableau row;
-                # refactorize and rescan rather than divide by noise
-                if not self._factor():
-                    return _RESTART
-                self._refresh(c)
-                continue
             leaving = int(self.basic[r])
             target = self.lo[leaving] if is_below else self.hi[leaving]
             step = (x[leaving] - target) / piv
@@ -807,7 +788,8 @@ class _Run:
 
     def solve(self) -> str:
         """Run to a final status; ``x`` then holds the iterate recomputed
-        from a fresh factorization of the final basis.
+        from a fresh factorization of the final basis.  A basis that fails
+        to factor ends the run at once as ITERATION_LIMIT.
 
         An optimum that breaks rows the working rows leave out is not
         final: those rows join, and dual then primal simplex resume.  They
@@ -818,21 +800,12 @@ class _Run:
         else:
             status = self._cold(self.prep.c)
         repairs = 0
-        while True:
-            while status == _RESTART:
-                if self.restarts >= 2:
-                    status = ITERATION_LIMIT
-                    break
-                self.restarts += 1
-                # a cold start replays the same pivots, so a bare retry would
-                # livelock; refactorizing more often changes the path
-                self.refactor_every = max(5, self.refactor_every // 4)
-                status = self._cold(self.prep.c)
+        while self.b_inv is not None:
             if status == OPTIMAL and self._join_broken():
-                status = self._resume() if self._factor() else _RESTART
+                status = self._resume() if self._factor() else ITERATION_LIMIT
                 continue
-            if self.since_refactor > 0:
-                self._factor()
+            if self.since_refactor > 0 and not self._factor():
+                break
             self.x = self._compute_x()
             if status != OPTIMAL:
                 return status
@@ -843,12 +816,13 @@ class _Run:
                       & (xb <= self.hi[self.basic] + FEAS_TOL)):
                 if not self._join_broken():
                     return status
-                status = self._resume() if self._factor() else _RESTART
+                status = self._resume() if self._factor() else ITERATION_LIMIT
                 continue
             if repairs == 2:
                 return ITERATION_LIMIT
             repairs += 1
             status = self._resume()
+        return ITERATION_LIMIT
 
     def _resume(self) -> str:
         status = self._dual(self.prep.c)
@@ -877,6 +851,9 @@ class _Run:
         basic = n + np.arange(new.m)
         basic[new.from_full[n + old.rows] - n] = to_new[self.basic]
         status[basic] = BASIC
+        x = np.zeros(new.ncols)
+        x[to_new] = self.x  # the last iterate, if the grown basis fails to factor
         self.prep, self.lo, self.hi, self.basic, self.status = new, lo, hi, basic, status
+        self.x = x
         self.b_inv = None  # the old inverse has the old shape
         return True

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from dedpoz.milp import EQ, GE, LE, lp_relaxation
+from dedpoz.milp import BINARY, EQ, GE, LE, lp_relaxation
 from dedpoz.oracle import enumerate_assignments
 from dedpoz.simplex import OPTIMAL, PreparedLp
 from dedpoz.system import GeneratingUnit, LossModel, SystemInstance
@@ -131,16 +131,16 @@ def random_lossless_instance(rng, n_units=None, n_periods=None):
                           loss_model=None)
 
 
-def random_lossy_instance(rng, n_max=4):
+def random_lossy_instance(rng, n_max=4, n_units=None, n_periods=None):
     """Random instance with a positive semidefinite loss matrix.
 
     Demand is set to (total sampled generation) - (exact loss at that point)
     so the sampled dispatch balances exactly, guaranteeing feasibility, and
     the loss coefficients are scaled so total losses stay below about 2.5%
-    of demand.
+    of demand.  The sizes default to 2 to ``n_max`` units and 2 or 3 periods.
     """
-    n = int(rng.integers(2, n_max + 1))
-    t_count = int(rng.integers(2, 4))
+    n = int(rng.integers(2, n_max + 1)) if n_units is None else n_units
+    t_count = int(rng.integers(2, 4)) if n_periods is None else n_periods
     units = []
     for i in range(n):
         p_min = float(rng.uniform(10.0, 30.0))
@@ -285,3 +285,38 @@ def enumeration_milp_min(instance, model, varmap):
             best = sol.objective
             best_vals = np.array(sol.values)
     return best, best_vals
+
+
+def highs_milp(model, rel_gap=1e-9):
+    """Status and objective of a dispatch MILP from scipy's HiGHS, an
+    independent solver: ``("optimal", objective)`` or ``("infeasible",
+    None)``.  Call only where scipy is installed."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    n, m = model.n_variables, model.n_constraints
+    rows, cols, vals = [], [], []
+    row_lo, row_hi = np.full(m, -np.inf), np.full(m, np.inf)
+    for r, con in enumerate(model.constraints):
+        for j, coef in con.coeffs:
+            rows.append(r)
+            cols.append(j)
+            vals.append(coef)
+        if con.sense in (EQ, GE):
+            row_lo[r] = con.rhs
+        if con.sense in (EQ, LE):
+            row_hi[r] = con.rhs
+    a = coo_array((vals, (rows, cols)), shape=(m, n)).tocsr()  # sums repeated cells
+    cost = np.zeros(n)
+    for j, coef in model.objective:
+        cost[j] += coef
+    res = milp(cost,
+               integrality=[v.kind == BINARY for v in model.variables],
+               bounds=Bounds([v.lb for v in model.variables],
+                             [v.ub for v in model.variables]),
+               constraints=LinearConstraint(a, row_lo, row_hi),
+               options={"mip_rel_gap": rel_gap})
+    if res.status == 0:
+        return "optimal", float(res.fun) + model.objective_constant
+    assert res.status == 2, res.message
+    return "infeasible", None

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from dedpoz import build_milp1, evaluate_cost, evaluate_violations, solve_milp
+from dedpoz import build_milp1, build_milp2, evaluate_cost, evaluate_violations, solve_milp
 from dedpoz.bnb import (
     FEASIBLE_TIME_LIMIT,
     MILP_INFEASIBLE,
@@ -14,11 +14,12 @@ from dedpoz.bnb import (
     BnbConfig,
     rounding_heuristic,
 )
-from dedpoz.milp import GE, tangent_gap_bound
+from dedpoz.milp import DEFAULT_TANGENT_STEPS, GE, tangent_gap_bound
 from dedpoz.simplex import OPTIMAL as LP_OPTIMAL
 from dedpoz.simplex import PreparedLp
 from dedpoz.system import SystemInstance
-from support import enumeration_milp_min, make_unit, random_lossless_instance
+from support import (enumeration_milp_min, highs_milp, make_unit, random_lossless_instance,
+                     random_lossy_instance)
 
 TIGHT = BnbConfig(gap=1e-9)
 
@@ -216,3 +217,29 @@ def test_incumbent_that_breaks_a_deferred_row_is_refused(monkeypatch):
         assert worst_row_shortfall(model, sol.values, lazy=True) <= 1e-6
     else:
         assert sol.limit_hit and sol.status == MILP_INFEASIBLE
+
+
+# ----- optimum against HiGHS, at sizes past the enumeration oracles -----------
+
+def assert_matches_highs(model, sol, gap):
+    status, objective = highs_milp(model)
+    assert sol.status == (OPTIMAL_WITHIN_GAP if status == "optimal" else MILP_INFEASIBLE)
+    assert not sol.limit_hit
+    if status == "optimal":
+        assert abs(sol.objective - objective) <= gap * abs(objective) + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_milp1_and_one_milp2_pass_match_highs(seed):
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(700 + seed)
+    instance = random_lossy_instance(rng, n_units=int(rng.integers(4, 9)),
+                                     n_periods=int(rng.integers(4, 9)))
+    config = BnbConfig()
+    model, varmap = build_milp1(instance)
+    sol = solve_milp(model, varmap, config)
+    assert_matches_highs(model, sol, config.gap)
+    # one loss pass, anchored at the lossless schedule
+    anchor = varmap.extract_schedule(sol.values).p
+    model, varmap = build_milp2(instance, DEFAULT_TANGENT_STEPS, anchor)
+    assert_matches_highs(model, solve_milp(model, varmap, config), config.gap)

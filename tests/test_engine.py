@@ -318,6 +318,24 @@ def test_near_zero_pivot_does_not_yield_a_false_infeasible():
     assert_agrees_with_grid_dp("small_batch_s177_seed112.json")
 
 
+# HiGHS's MILP-1 optimum for the fixture: scipy.optimize.milp with
+# mip_rel_gap=1e-9 (see tests/fixtures/README.md)
+DED_10X24_HIGHS_OBJECTIVE = 24855.1472
+
+
+def test_paper_scale_fixture_meets_the_highs_optimum():
+    # 10 units over a 24-period day: the only instance here whose LPs run
+    # long enough to refactor mid-phase
+    instance = load_instance(Path(__file__).parent / "fixtures" / "ded_10x24_seed1.json")
+    config = IaConfig()
+    report = solve_ded_no_loss(instance, config)
+    assert report.milp.status == "optimal_within_gap" and not report.milp.limit_hit
+    assert evaluate_violations(instance, report.schedule, use_loss=False,
+                               tol=1e-6).feasible
+    assert (abs(report.surrogate_objective - DED_10X24_HIGHS_OBJECTIVE)
+            <= config.gap * DED_10X24_HIGHS_OBJECTIVE)
+
+
 def assert_agrees_with_grid_dp(fixture):
     instance = load_instance(Path(__file__).parent / "fixtures" / fixture)
     config = IaConfig(gap=1e-4, tangent_steps=4)

@@ -1,13 +1,14 @@
 """LP solver tests against exhaustive vertex enumeration and hand cases."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedpoz import ValidationError, build_milp1, duplicate_system
+from dedpoz import ValidationError, build_milp1, duplicate_system, simplex
 from dedpoz.milp import BINARY, CONTINUOUS, EQ, GE, LE, Constraint, MilpModel, Variable, lp_relaxation
 from dedpoz.simplex import (
     AT_LOWER,
@@ -325,8 +326,15 @@ def bounded_lps(draw, min_lazy=0):
 def test_every_optimal_meets_rows_and_bounds(model):
     # lazy rows included: the check reads the model, not the solver's residual
     sol = PreparedLp(model).solve()
+    # a 3-pivot refactor window, so the window refactorization runs on
+    # models this small too, gives the same answer
+    with mock.patch.object(simplex, "REFACTOR_EVERY", 3):
+        short = PreparedLp(model).solve()
+    assert short.status == sol.status
     if sol.status == OPTIMAL:
-        _check_primal_feasible(model, sol.values, tol=1e-6)
+        assert short.objective == pytest.approx(sol.objective, rel=1e-7, abs=1e-9)
+        for found in (sol, short):
+            _check_primal_feasible(model, found.values, tol=1e-6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -371,6 +379,53 @@ def test_optimal_exit_that_breaks_a_bound_is_repaired_or_withheld(monkeypatch):
     monkeypatch.setattr(_Run, "_dual", lambda run, c: OPTIMAL)
     stuck = prep.solve(lower=lo, upper=hi, warm_start=base.basis)
     assert stuck.status == ITERATION_LIMIT
+
+
+# ----- a basis that fails to factor ends the solve --------------------------
+
+FACTOR, JOIN_BROKEN = _Run._factor, _Run._join_broken
+
+
+def solve_with_failed_factor(monkeypatch, model, fail_at=None):
+    """Solve ``model`` recording each call of ``_Run._factor`` as
+    ``(since_refactor, just_joined)``; call number ``fail_at`` returns False
+    and changes nothing, as on a singular basis."""
+    calls, joined = [], []
+
+    def flaky(run):
+        calls.append((run.since_refactor, bool(joined)))
+        joined.clear()
+        return False if len(calls) - 1 == fail_at else FACTOR(run)
+
+    def spy_join(run):
+        grown = JOIN_BROKEN(run)
+        joined.extend([True] if grown else [])
+        return grown
+
+    monkeypatch.setattr(_Run, "_factor", flaky)
+    monkeypatch.setattr(_Run, "_join_broken", spy_join)
+    return PreparedLp(lp_relaxation(model)).solve(), calls
+
+
+@pytest.mark.parametrize("which", ["exit", "join", "window"])
+def test_a_failed_factorization_is_never_reported_optimal(monkeypatch, which):
+    model = ladder_root_model(1)
+    if which == "window":
+        monkeypatch.setattr(simplex, "REFACTOR_EVERY", 2)
+    if which != "join":
+        model = unmarked(model)  # no row joins, so the exit refactorization is last
+    clean, calls = solve_with_failed_factor(monkeypatch, model)
+    assert clean.status == OPTIMAL
+    if which == "exit":
+        at = len(calls) - 1
+        assert calls[at][0] > 0 and not calls[at][1]
+    elif which == "join":
+        at = [joined for _, joined in calls].index(True)
+    else:
+        at = 1  # the crash, then the first window
+        assert calls[at] == (2, False)
+    sol, _ = solve_with_failed_factor(monkeypatch, model, fail_at=at)
+    assert sol.status == ITERATION_LIMIT
 
 
 # ----- warm starts from another model's basis; the dual start --------------
@@ -560,6 +615,13 @@ def test_rows_left_out_keep_their_model_shape():
     assert sol.status == eager.status == OPTIMAL
     assert sol.objective == pytest.approx(eager.objective, rel=1e-9)
     _check_primal_feasible(model, sol.values)
+    # a 3-pivot refactor window, so the window refactorization runs on this
+    # LP too, gives the same optimum
+    with mock.patch.object(simplex, "REFACTOR_EVERY", 3):
+        short = PreparedLp(lp_relaxation(model)).solve()
+    assert short.status == OPTIMAL and short.pivots > 3
+    assert short.objective == pytest.approx(sol.objective, rel=1e-7)
+    _check_primal_feasible(model, short.values)
     # some cuts were added back, others were never needed
     added = prep.active & lazy
     assert 0 < added.sum() < lazy.sum()
