@@ -128,7 +128,6 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
     nodes = 0
     node_log = []
     heap = []
-    removed = set()
     seq_counter = 0
     plunge_pending = False
     plunge_node = None
@@ -144,8 +143,6 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
                 f"incumbent {entry[3]:.6f}\n")
 
     def open_bound_floor():
-        while heap and heap[0].seq in removed:
-            heapq.heappop(heap)
         floor = heap[0].bound if heap else np.inf
         if plunge_node is not None:
             floor = min(floor, plunge_node.bound)
@@ -163,15 +160,11 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
 
     while True:
         if plunge_node is not None:
-            node = plunge_node
-            plunge_node = None
-            removed.add(node.seq)
-        else:
-            while heap and heap[0].seq in removed:
-                heapq.heappop(heap)
-            if not heap:
-                break
+            node, plunge_node = plunge_node, None
+        elif heap:
             node = heapq.heappop(heap)
+        else:
+            break
         if node.bound >= incumbent_obj - PRUNE_EPS:
             continue
         if not time_left():
@@ -232,15 +225,15 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
                     child_lo = node.lower.copy()
                     child_hi = node.upper.copy()
                     child_lo[var] = child_hi[var] = fix
-                    child = _Node(seq=seq_counter, depth=node.depth + 1, bound=obj,
-                                  lower=child_lo, upper=child_hi, basis=sol.basis)
+                    children.append(_Node(seq=seq_counter, depth=node.depth + 1, bound=obj,
+                                          lower=child_lo, upper=child_hi, basis=sol.basis))
                     seq_counter += 1
-                    children.append(child)
-                    heapq.heappush(heap, child)
                 if plunge_pending or improved:
-                    pick = children[1] if vals[b] >= 0.5 else children[0]
-                    plunge_node = pick
+                    # kept off the heap, so the heap holds only open nodes
+                    plunge_node = children.pop(1 if vals[b] >= 0.5 else 0)
                     plunge_pending = False
+                for child in children:
+                    heapq.heappush(heap, child)
 
         if improved:
             plunge_pending = plunge_node is None

@@ -120,7 +120,7 @@ def _run_milp(model, varmap, config: IaConfig, what: str, warm_start=None):
 
 def _carry_basis(basis: Basis | None, old: MilpModel, new: MilpModel) -> Basis | None:
     """``basis``, a model-shape basis of ``old``'s LP, mapped onto ``new``:
-    structural columns by variable name, slacks and artificials by row name.
+    structural columns by variable name, slacks by row name.
     The structural columns only ``new`` has enter the basis, and the slacks
     of its new rows fill any places left.  None (a cold start) when the
     counts do not fit."""
@@ -132,8 +132,7 @@ def _carry_basis(basis: Basis | None, old: MilpModel, new: MilpModel) -> Basis |
     var_map = np.array([var_at.get(v.name, -1) for v in old.variables], dtype=np.int64)
     row_map = np.array([row_at.get(con.name, -1) for con in old.constraints],
                        dtype=np.int64)
-    col_map = np.concatenate([var_map, np.where(row_map >= 0, n + row_map, -1),
-                              np.where(row_map >= 0, n + m + row_map, -1)])
+    col_map = np.concatenate([var_map, np.where(row_map >= 0, n + row_map, -1)])
     basic = col_map[basis.basic_idx]
     basic = np.concatenate([basic[basic >= 0], np.setdiff1d(np.arange(n), var_map)])
     new_rows = np.setdiff1d(np.arange(m), row_map)
@@ -143,7 +142,7 @@ def _carry_basis(basis: Basis | None, old: MilpModel, new: MilpModel) -> Basis |
     basic = np.concatenate([basic, n + new_rows[:fill]])
     # the simplex moves a status that names an infinite bound to the finite
     # one, so AT_LOWER gives every new nonbasic column its default status
-    status = np.full(n + 2 * m, AT_LOWER, dtype=np.int8)
+    status = np.full(n + m, AT_LOWER, dtype=np.int8)
     kept = col_map >= 0
     status[col_map[kept]] = basis.status[kept]
     status[basic] = BASIC

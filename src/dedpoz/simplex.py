@@ -2,10 +2,9 @@
 
 Revised simplex with an explicit basis inverse.  Design points:
 
-* columns are laid out as [structural | one slack per row | one artificial
-  per row]; equality rows get a slack fixed at zero, so every row is handled
-  natively without splitting.  Artificials are fixed at zero and no pivot
-  brings one into the basis; the block keeps the shape of a ``Basis``;
+* columns are laid out as [structural | one slack per row]; equality rows
+  get a slack fixed at zero, so every row is handled natively without
+  splitting;
 * the constraint matrix lives in coordinate/column index arrays (dispatch
   models carry only a few nonzeros per row), and every full-matrix product
   runs over the nonzeros only;
@@ -26,14 +25,14 @@ Revised simplex with an explicit basis inverse.  Design points:
   that each free structural column (the segment cost epigraphs) takes the
   row where its entry is largest, and then each equality row takes the
   nonbasic structural column with its largest entry, both only on rows no
-  earlier pick touches, which keeps the basis triangular and free of
-  artificials.  A warm start factors the supplied basis, which may
-  come from a model whose bounds, coefficients or rhs differ (a
-  branch-and-bound child, the next pass of the loss loop); re-solving an
-  already-optimal basis costs zero pivots.  Either way, a boxed nonbasic
-  column that prices with the wrong sign moves to its other bound, and any
-  other one has its cost shifted by minus its reduced cost for the dual
-  phase (cost shifting); the primal phase runs on the true costs;
+  earlier pick touches, which keeps the basis triangular.  A warm start
+  factors the supplied basis, which may come from a model whose bounds,
+  coefficients or rhs differ (a branch-and-bound child, the next pass of
+  the loss loop); re-solving an already-optimal basis costs zero pivots.
+  Either way, a boxed nonbasic column that prices with the wrong sign
+  moves to its other bound, and any other one has its cost shifted by
+  minus its reduced cost for the dual phase (cost shifting); the primal
+  phase runs on the true costs;
 * dual simplex reports "infeasible" only from a row read on a fresh
   factorization: a row with no entering column after pivots is read again
   after a refactorization;
@@ -110,11 +109,11 @@ class LpSolution:
 class _Form:
     """An LP in computational form: scaled rows as coordinate and column
     arrays, rhs, costs and bound templates over the columns [structural |
-    one slack per row | one artificial per row].  The simplex runs on any
-    form: a whole prepared model or its working rows.  Entries of the
-    coordinate arrays are in row order.  ``rows`` lists the model rows the
-    form holds, ``full_col`` maps each of its columns to the model column
-    and ``from_full`` maps back (-1 for the columns of rows left out)."""
+    one slack per row].  The simplex runs on any form: a whole prepared
+    model or its working rows.  Entries of the coordinate arrays are in row
+    order.  ``rows`` lists the model rows the form holds, ``full_col`` maps
+    each of its columns to the model column and ``from_full`` maps back (-1
+    for the slacks of rows left out)."""
 
     model = None  # the prepared model whose rows left out may join
 
@@ -123,8 +122,7 @@ class _Form:
         out = (np.bincount(self.rows_nz, weights=self.vals_nz * x[self.cols_nz],
                            minlength=m)
                if self.rows_nz.size else np.zeros(m))
-        out += x[n:n + m]
-        out += x[n + m:]
+        out += x[n:]
         return out
 
     def aty(self, y: np.ndarray) -> np.ndarray:
@@ -133,8 +131,7 @@ class _Form:
         out[:n] = (np.bincount(self.cols_nz, weights=self.vals_nz * y[self.rows_nz],
                                minlength=n)
                    if self.rows_nz.size else 0.0)
-        out[n:n + m] = y
-        out[n + m:] = y
+        out[n:] = y
         return out
 
     def structural_columns(self, cols: np.ndarray) -> np.ndarray:
@@ -156,7 +153,7 @@ class _WorkingRows(_Form):
         self.model = prep
         self.rows = np.flatnonzero(keep)
         self.n_struct, self.m = n, self.rows.size
-        self.ncols = n + 2 * self.m
+        self.ncols = n + self.m
         pos = np.cumsum(keep) - 1
         on = keep[prep.rows_nz]
         self.rows_nz = pos[prep.rows_nz[on]]
@@ -170,8 +167,7 @@ class _WorkingRows(_Form):
             [[0], np.cumsum(np.bincount(col_of[on], minlength=n))]).astype(np.int64)
         self.b = prep.b[self.rows]
         self.row_scale = prep.row_scale[self.rows]
-        self.full_col = np.concatenate(
-            [np.arange(n), n + self.rows, n + prep.m + self.rows])
+        self.full_col = np.concatenate([np.arange(n), n + self.rows])
         self.from_full = np.full(prep.ncols, -1, dtype=np.int64)
         self.from_full[self.full_col] = np.arange(self.ncols)
         self.lo_template = prep.lo_template[self.full_col]
@@ -246,7 +242,7 @@ class PreparedLp(_Form):
         self.row_scale = scale
         self.n_struct = n
         self.m = m
-        self.ncols = n + 2 * m
+        self.ncols = n + m
         self.rows = np.arange(m)
         self.full_col = self.from_full = np.arange(self.ncols)
 
@@ -261,8 +257,6 @@ class PreparedLp(_Form):
                 lo[n + r], hi[n + r] = -np.inf, 0.0
             else:
                 lo[n + r], hi[n + r] = 0.0, 0.0
-        lo[n + m:] = 0.0
-        hi[n + m:] = 0.0
         self.lo_template = lo
         self.hi_template = hi
 
@@ -337,30 +331,28 @@ class PreparedLp(_Form):
         return self._work
 
     def _start(self, warm):
-        """The working rows and ``warm`` mapped onto them.  A row left out
-        must hold its own slack basic; a row whose slack the basis holds
-        nonbasic joins the working rows first."""
-        if warm is None or self.active.all():
-            return self._working(), warm
+        """The working rows and ``warm`` mapped onto them, or None in place
+        of a ``warm`` that does not fit the model.  A row left out must hold
+        its own slack basic; a row whose slack the basis holds nonbasic
+        joins the working rows first."""
+        if warm is None:
+            return self._working(), None
         n, m = self.n_struct, self.m
         basic = np.asarray(warm.basic_idx)
         status = np.asarray(warm.status)
         if (basic.shape != (m,) or status.shape != (self.ncols,)
                 or np.any((basic < 0) | (basic >= self.ncols))):
             return self._working(), None
-        slack_row = basic - n
-        is_slack = (slack_row >= 0) & (slack_row < m)
+        if self.active.all():
+            return self, warm
         held = np.zeros(m, dtype=bool)
-        held[slack_row[is_slack]] = True
+        held[basic[basic >= n] - n] = True
         self._activate(~held)
         work = self._working()
         if work is self:
             return self, warm
-        left_out = is_slack & ~self.active[np.clip(slack_row, 0, m - 1)]
-        basic = work.from_full[basic[~left_out]]
-        if np.any(basic < 0):
-            return work, None
-        return work, Basis(basic, status[work.full_col])
+        basic = work.from_full[basic]  # -1 for the slack of a row left out
+        return work, Basis(basic[basic >= 0], status[work.full_col])
 
     def _model_basis(self, run) -> Basis:
         """The run's basis in model shape: a row left out holds its slack
@@ -439,10 +431,10 @@ class _Run:
         """Invert the basis through its structural kernel; False, with no
         inverse held, if the basis is singular.
 
-        With S the structural basic positions, U the unit (slack or
-        artificial) ones, ``ru`` the rows U covers and K the rest, the
-        inverse is A[K,S]^-1 on (S,K), -A[ru,S] A[K,S]^-1 on (U,K), the
-        identity on (U,ru) and zero elsewhere.
+        With S the structural basic positions, U the slack ones (unit
+        columns), ``ru`` the rows U covers and K the rest, the inverse is
+        A[K,S]^-1 on (S,K), -A[ru,S] A[K,S]^-1 on (U,K), the identity on
+        (U,ru) and zero elsewhere.
         """
         prep = self.prep
         n, m = prep.n_struct, prep.m
@@ -450,7 +442,7 @@ class _Run:
         unit = self.basic >= n
         s_pos = np.flatnonzero(~unit)
         u_pos = np.flatnonzero(unit)
-        ru = (self.basic[u_pos] - n) % m
+        ru = self.basic[u_pos] - n
         covered = np.zeros(m, dtype=bool)
         covered[ru] = True
         if np.count_nonzero(covered) != ru.size:
@@ -510,19 +502,18 @@ class _Run:
         if q < n:
             s, e = prep.col_ptr[q], prep.col_ptr[q + 1]
             return self.b_inv[:, prep.col_rows[s:e]] @ prep.col_vals[s:e]
-        return self.b_inv[:, (q - n) % prep.m].copy()
+        return self.b_inv[:, q - n].copy()
 
     def _alpha_row(self, binv_r) -> np.ndarray:
         """One tableau row: (B^-1 A)[r] across all columns."""
         prep = self.prep
-        n, m = prep.n_struct, prep.m
+        n = prep.n_struct
         alpha = np.empty(prep.ncols)
         alpha[:n] = (np.bincount(prep.cols_nz,
                                  weights=prep.vals_nz * binv_r[prep.rows_nz],
                                  minlength=n)
                      if prep.rows_nz.size else 0.0)
-        alpha[n:n + m] = binv_r
-        alpha[n + m:] = binv_r
+        alpha[n:] = binv_r
         return alpha
 
     def _pivot_d_update(self, alpha, q, piv):
@@ -537,6 +528,26 @@ class _Run:
             self.d -= (dq / piv) * alpha
         self.d[self.basic] = 0.0
         self.d[q] = 0.0
+
+    def _exchange(self, r, q, w, alpha, step, to_lower, theta):
+        """Basis exchange at position r: q enters, moved by ``step``, with
+        w = B^-1 a_q and ``alpha`` the old tableau row r; the leaving column
+        goes to its lower or upper bound.  A ratio-test step ``theta`` of
+        about zero counts toward the switch to Bland's rule."""
+        leaving = int(self.basic[r])
+        self.x[self.basic] -= step * w
+        self.x[q] += step
+        self.x[leaving] = self.lo[leaving] if to_lower else self.hi[leaving]
+        self.basic[r] = q
+        self.status[q] = BASIC
+        self.status[leaving] = AT_LOWER if to_lower else AT_UPPER
+        self._pivot_d_update(alpha, q, w[r])
+        self._update_b_inv(w, r)
+        self.pivots += 1
+        if theta <= DEGEN_STEP:
+            self.degen += 1
+            if self.degen >= BLAND_AFTER:
+                self.bland = True
 
     # ----- start paths -----------------------------------------------------
 
@@ -691,22 +702,8 @@ class _Run:
                 cands = np.flatnonzero(ratios <= max(theta_basic + 1e-12, min(cap, span)))
                 r = int(cands[np.argmax(np.abs(delta[cands]))])
                 theta_basic = float(ratios[r])
-            leaving = int(self.basic[r])
-            to_lower = delta[r] > 0
-            x[self.basic] = xb - theta_basic * delta
-            x[q] += s * theta_basic
-            x[leaving] = self.lo[leaving] if to_lower else self.hi[leaving]
             alpha = self._alpha_row(self.b_inv[r].copy())
-            self.basic[r] = q
-            self.status[q] = BASIC
-            self.status[leaving] = AT_LOWER if to_lower else AT_UPPER
-            self._pivot_d_update(alpha, q, w[r])
-            self._update_b_inv(w, r)
-            self.pivots += 1
-            if theta_basic <= DEGEN_STEP:
-                self.degen += 1
-                if self.degen >= BLAND_AFTER:
-                    self.bland = True
+            self._exchange(r, q, w, alpha, s * theta_basic, delta[r] > 0, theta_basic)
 
     # ----- dual simplex ----------------------------------------------------
 
@@ -765,24 +762,10 @@ class _Run:
                 cands = np.flatnonzero(ratios <= max(theta + 1e-12, cap))
                 q = int(cands[np.argmax(np.abs(alpha[cands]))])
             w = self._w_col(q)
-            piv = w[r]
-            leaving = int(self.basic[r])
+            leaving = self.basic[r]
             target = self.lo[leaving] if is_below else self.hi[leaving]
-            step = (x[leaving] - target) / piv
-            x[self.basic] = xb - step * w
-            x[q] += step
-            x[leaving] = target
-            self.basic[r] = q
-            self.status[q] = BASIC
-            self.status[leaving] = AT_LOWER if is_below else AT_UPPER
-            self._pivot_d_update(alpha, q, piv)
-            self._update_b_inv(w, r)
             self.iters += 1
-            self.pivots += 1
-            if theta <= DEGEN_STEP:
-                self.degen += 1
-                if self.degen >= BLAND_AFTER:
-                    self.bland = True
+            self._exchange(r, q, w, alpha, (xb[r] - target) / w[r], is_below, theta)
 
     # ----- driver ----------------------------------------------------------
 

@@ -226,7 +226,7 @@ def lossy_pair(seed):
 def test_mapped_basis_fits_milp2_and_saves_pivots(monkeypatch):
     m1, m2, basis = lossy_pair(73)
     warm = engine._carry_basis(basis, m1, m2)
-    m, ncols = m2.n_constraints, m2.n_variables + 2 * m2.n_constraints
+    m, ncols = m2.n_constraints, m2.n_variables + m2.n_constraints
     assert warm.basic_idx.shape == (m,) and warm.status.shape == (ncols,)
     assert np.unique(warm.basic_idx).size == m
     assert np.all((warm.basic_idx >= 0) & (warm.basic_idx < ncols))

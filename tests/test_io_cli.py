@@ -1,7 +1,9 @@
 """Instance files, schedule CSVs, report serialization, and the CLI."""
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,3 +564,19 @@ def test_cli_bench_bad_factors(tmp_path, capsys, factors, match):
     rc = main(["bench", "--instance", path, "--duplicate-factors", factors])
     assert rc == 3
     assert match in capsys.readouterr().err
+
+
+def test_library_modules_make_no_print_calls():
+    # only the CLI writes to the terminal; library code reports through
+    # return values, exceptions and the streams its callers pass in
+    package = Path(cli.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(list(package.glob("*.py"))) > 5
+    assert found == []

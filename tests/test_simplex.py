@@ -224,7 +224,6 @@ def dense_basis(prep, basic):
     full = np.zeros((m, prep.ncols))
     full[prep.rows_nz, prep.cols_nz] = prep.vals_nz
     full[np.arange(m), n + np.arange(m)] = 1.0
-    full[np.arange(m), n + m + np.arange(m)] = 1.0
     return full[:, basic]
 
 
@@ -264,9 +263,7 @@ def test_kernel_factor_inverts_random_unit_and_structural_mixes():
     for k in range(n + 1):
         structural = rng.choice(n, size=k, replace=False)
         covered = rng.choice(m, size=m - k, replace=False)
-        # each covered row gets its slack or its artificial at random
-        units = n + covered + m * rng.integers(0, 2, size=covered.size)
-        basic = rng.permutation(np.concatenate([structural, units]))
+        basic = rng.permutation(np.concatenate([structural, n + covered]))
         run, ok = factored(prep, basic)
         assert ok
         np.testing.assert_allclose(run.b_inv @ dense_basis(prep, basic),
@@ -278,7 +275,7 @@ def test_kernel_factor_rejects_row_covered_twice():
     n, m = prep.n_struct, prep.m
     basic = n + np.arange(m)
     assert factored(prep, basic)[1]
-    basic[5] = n + m + 3  # the artificial of row 3 beside its slack
+    basic[5] = n + 3  # row 3's slack twice, row 5's not at all
     assert not factored(prep, basic)[1]
 
 
@@ -456,6 +453,26 @@ def test_warm_start_from_a_perturbed_copys_basis_matches_cold(pair):
             _check_primal_feasible(model, sol.values, tol=1e-6)
 
 
+def test_warm_basis_that_does_not_fit_starts_cold():
+    # on the model with lazy rows and on its copy where every row is active
+    model = lp_relaxation(ladder_root_model(1))
+    for relaxed in (model, unmarked(model)):
+        cold = PreparedLp(relaxed).solve()
+        assert cold.status == OPTIMAL
+        n, m = len(relaxed.variables), len(relaxed.constraints)
+        basic, status = cold.basis.basic_idx, cold.basis.status
+        repeated, too_big, negative = basic.copy(), basic.copy(), basic.copy()
+        repeated[1] = repeated[0]
+        too_big[0] = n + m
+        negative[0] = -1
+        old_layout = np.concatenate([status, np.full(m, AT_LOWER, dtype=np.int8)])
+        for bad in (Basis(basic, old_layout), Basis(repeated, status),
+                    Basis(too_big, status), Basis(negative, status)):
+            sol = PreparedLp(relaxed).solve(warm_start=bad)
+            assert sol.status == OPTIMAL
+            assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
 def _spied_warm_start(monkeypatch, repriced, basis):
     """Warm-solve ``repriced`` from ``basis`` with _cold forbidden; returns
     the solution and, per _dual call, whether its costs were shifted and
@@ -533,10 +550,14 @@ def test_dual_infeasible_exit_is_rechecked(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(bounded_lps())
-def test_no_returned_basis_holds_an_artificial(model):
+def test_every_returned_basis_is_m_distinct_columns(model):
     prep = PreparedLp(model)
     sol = prep.solve()
-    assert np.all(sol.basis.basic_idx < prep.n_struct + prep.m)
+    n, m = prep.n_struct, prep.m
+    basic = sol.basis.basic_idx
+    assert basic.shape == (m,) and np.unique(basic).size == m
+    assert np.all((basic >= 0) & (basic < n + m))
+    assert sol.basis.status.shape == (n + m,)
 
 
 # ----- status and optimum against HiGHS -------------------------------------
@@ -629,7 +650,7 @@ def test_rows_left_out_keep_their_model_shape():
     n, m = prep.n_struct, prep.m
     assert m == len(model.constraints)
     assert sol.basis.basic_idx.shape == (m,)
-    assert sol.basis.status.shape == (n + 2 * m,)
+    assert sol.basis.status.shape == (n + m,)
     np.testing.assert_array_equal(sol.basis.basic_idx[left_out], n + left_out)
     assert np.all(sol.basis.status[n + left_out] == BASIC)
     assert sol.dual_values.shape == (m,)
@@ -837,7 +858,7 @@ def test_crash_holds_every_free_column_on_a_triangular_basis():
         run = _Run(prep, None, None, None, DEFAULT_MAX_ITERS)
         assert run._crash()  # factors on the first try
         basic = run.basic
-        assert np.all(basic < n + m)  # no artificial
+        assert basic.shape == (m,) and np.all((basic >= 0) & (basic < n + m))
         free = np.flatnonzero(np.isinf(prep.lo_template[:n]) & np.isinf(prep.hi_template[:n]))
         if k < 2:  # the ladders' segcost columns
             assert free.size > 0 and np.all(np.isin(free, basic))
