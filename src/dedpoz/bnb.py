@@ -4,8 +4,9 @@ Node selection is best-bound with one depth-first plunge after each incumbent
 improvement.  Branching fixes the single most fractional binary (ties broken
 by lowest variable index, which the model builders lay out in unit, period,
 segment order).  Child LPs restart from the parent's basis via dual simplex,
-and the root LP from the caller's basis when one is given; the root LP's
-final basis comes back on the solution.
+reusing the kernel inverse it was returned with, and the root LP from the
+caller's basis when one is given; the root LP's final basis comes back on
+the solution.
 A point becomes the incumbent only if it meets every model row and bound,
 rows the LP left out of its working set included.  The search is
 deterministic: identical inputs explore identical trees.
@@ -13,7 +14,7 @@ deterministic: identical inputs explore identical trees.
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,7 +109,8 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
 
     ``varmap`` enables the segment-rounding incumbent heuristic; pass None
     for a generic model.  ``warm_start`` is a model-shape ``Basis`` for the
-    root LP; the root LP's optimal basis is returned as ``root_basis``.
+    root LP; the root LP's optimal basis is returned as ``root_basis``, without
+    the kernel inverse that only this search's own LP can use.
 
     A search that a limit stops before any incumbent returns status
     ``infeasible`` with ``limit_hit`` True; only ``limit_hit`` False makes
@@ -188,7 +190,7 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
             break
 
         if nodes == 1:
-            root_basis = sol.basis
+            root_basis = replace(sol.basis, kernel=None)  # carried onto other models
         obj = sol.objective
         if obj < incumbent_obj - PRUNE_EPS:
             vals = sol.values[bin_idx] if bin_idx.size else np.array([])

@@ -29,6 +29,10 @@ Revised simplex with an explicit basis inverse.  Design points:
   factors the supplied basis, which may come from a model whose bounds,
   coefficients or rhs differ (a branch-and-bound child, the next pass of
   the loss loop); re-solving an already-optimal basis costs zero pivots.
+  A basis returned by a run that ended on a fresh factorization carries
+  its kernel inverse, and a warm start on the same prepared model (a
+  branch-and-bound child, the rounding heuristic) builds its inverse from
+  that kernel without inverting it again.
   Either way, a boxed nonbasic column that prices with the wrong sign
   moves to its other bound, and any other one has its cost shifted by
   minus its reduced cost for the dual phase (cost shifting); the primal
@@ -58,7 +62,7 @@ Revised simplex with an explicit basis inverse.  Design points:
 * a basis that fails to factor ends the solve as ``iteration_limit``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,10 +88,15 @@ BASIC, AT_LOWER, AT_UPPER, FREE_ZERO = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class Basis:
-    """Restart information: basic column indices plus a status code per column."""
+    """Restart information: basic column indices plus a status code per column.
+
+    ``kernel`` is ``(model token, structural basic columns in position
+    order, kernel model rows, kernel inverse)`` when the run that returned
+    the basis ended on a fresh factorization."""
 
     basic_idx: np.ndarray
     status: np.ndarray
+    kernel: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,7 @@ class _WorkingRows(_Form):
 
     def __init__(self, prep, keep):
         n = prep.n_struct
-        self.model = prep
+        self.model, self.token = prep, prep.token
         self.rows = np.flatnonzero(keep)
         self.n_struct, self.m = n, self.rows.size
         self.ncols = n + self.m
@@ -272,6 +281,7 @@ class PreparedLp(_Form):
         self.col_scale[n:] = 2.0
         self.active = np.array([not con.lazy for con in model.constraints], dtype=bool)
         self._work = None
+        self.token = object()  # names this model's scaled matrix in a basis kernel
 
     def row_violation(self, values: np.ndarray) -> np.ndarray:
         """How far each model row is from holding at the structural point
@@ -293,8 +303,10 @@ class PreparedLp(_Form):
         lo = self.lo_template[:n] if lower is None else np.asarray(lower, dtype=float)
         hi = self.hi_template[:n] if upper is None else np.asarray(upper, dtype=float)
         if np.any(lo > hi + 1e-12):
-            return LpSolution(INFEASIBLE, np.zeros(n), np.inf, np.zeros(self.m),
-                              None, 0, 0, 0.0)
+            values, duals = np.zeros(n), np.zeros(self.m)
+            values.setflags(write=False)
+            duals.setflags(write=False)
+            return LpSolution(INFEASIBLE, values, np.inf, duals, None, 0, 0, 0.0)
         work, warm = self._start(warm_start)
         run = _Run(work, lower, upper, warm, max_iters)
         status = run.solve()
@@ -352,11 +364,12 @@ class PreparedLp(_Form):
         if work is self:
             return self, warm
         basic = work.from_full[basic]  # -1 for the slack of a row left out
-        return work, Basis(basic[basic >= 0], status[work.full_col])
+        return work, Basis(basic[basic >= 0], status[work.full_col], warm.kernel)
 
     def _model_basis(self, run) -> Basis:
         """The run's basis in model shape: a row left out holds its slack
-        basic at its own position."""
+        basic at its own position.  Only a fresh factorization's kernel
+        comes along."""
         work = run.prep
         n, m = self.n_struct, self.m
         basic = n + np.arange(m)
@@ -364,7 +377,8 @@ class PreparedLp(_Form):
         status = np.full(self.ncols, AT_LOWER, dtype=np.int8)
         status[n:n + m] = BASIC
         status[work.full_col] = run.status
-        return Basis(basic, status)
+        fresh = run.b_inv is not None and run.since_refactor == 0
+        return Basis(basic, status, run.kernel if fresh else None)
 
     def _solution(self, run, status, pivots, iters) -> LpSolution:
         work, x = run.prep, run.x
@@ -416,7 +430,7 @@ class _Run:
         self.warm = warm_start
         self.status = np.empty(prep.ncols, dtype=np.int8)
         self.basic = np.empty(prep.m, dtype=np.int64)
-        self.b_inv = None  # None while the basis is not factored
+        self.b_inv = self.kernel = None  # None while the basis is not factored
         self.x = np.zeros(prep.ncols)
         self.d = np.zeros(prep.ncols)
         self.pivots = 0
@@ -427,18 +441,20 @@ class _Run:
 
     # ----- state helpers ---------------------------------------------------
 
-    def _factor(self) -> bool:
+    def _factor(self, known=None) -> bool:
         """Invert the basis through its structural kernel; False, with no
         inverse held, if the basis is singular.
 
         With S the structural basic positions, U the slack ones (unit
         columns), ``ru`` the rows U covers and K the rest, the inverse is
         A[K,S]^-1 on (S,K), -A[ru,S] A[K,S]^-1 on (U,K), the identity on
-        (U,ru) and zero elsewhere.
+        (U,ru) and zero elsewhere.  A ``known`` kernel (see ``Basis``) of
+        this model, the same columns and the same rows is A[K,S]^-1
+        already: a model's scaled matrix never changes.
         """
         prep = self.prep
         n, m = prep.n_struct, prep.m
-        self.b_inv = None  # hold one m x m inverse at a time, not two
+        self.b_inv = self.kernel = None  # hold one inverse at a time, not two
         unit = self.basic >= n
         s_pos = np.flatnonzero(~unit)
         u_pos = np.flatnonzero(unit)
@@ -448,18 +464,26 @@ class _Run:
         if np.count_nonzero(covered) != ru.size:
             return False  # a row covered twice: the basis is singular
         k_rows = np.flatnonzero(~covered)
-        cols = prep.structural_columns(self.basic[s_pos])
-        try:
-            kernel_inv = np.linalg.inv(cols[k_rows])
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(np.isfinite(kernel_inv)):
-            return False
+        s_cols, k_model = self.basic[s_pos], prep.rows[k_rows]
+        cols = prep.structural_columns(s_cols)
+        if (known is not None and known[0] is prep.token
+                and np.array_equal(known[1], s_cols) and np.array_equal(known[2], k_model)):
+            kernel_inv = known[3]
+        else:
+            try:
+                kernel_inv = np.linalg.inv(cols[k_rows])
+            except np.linalg.LinAlgError:
+                return False
+            if not np.all(np.isfinite(kernel_inv)):
+                return False
+        block = np.empty((m, k_rows.size))  # the columns of B^-1 on K
+        block[s_pos] = kernel_inv
+        block[u_pos] = -(cols[ru] @ kernel_inv)
         b_inv = np.zeros((m, m))
-        b_inv[np.ix_(s_pos, k_rows)] = kernel_inv
-        b_inv[np.ix_(u_pos, k_rows)] = -(cols[ru] @ kernel_inv)
+        b_inv[:, k_rows] = block
         b_inv[u_pos, ru] = 1.0
         self.b_inv = b_inv
+        self.kernel = (prep.token, s_cols, k_model, kernel_inv)
         self.since_refactor = 0
         return True
 
@@ -615,7 +639,7 @@ class _Run:
         fix = old == BASIC
         new[fix] = _default_status(lo[fix], hi[fix])
         new[in_basis] = BASIC
-        return self._factor()
+        return self._factor(warm.kernel)
 
     def _warm(self, c) -> str:
         if not self._load_warm():

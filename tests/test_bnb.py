@@ -1,7 +1,9 @@
 """Branch-and-bound tests against exhaustive segment enumeration."""
 
+import contextlib
 import dataclasses
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from dedpoz.bnb import (
     BnbConfig,
     rounding_heuristic,
 )
-from dedpoz.milp import DEFAULT_TANGENT_STEPS, GE, tangent_gap_bound
+from dedpoz.milp import DEFAULT_TANGENT_STEPS, GE, lp_relaxation, tangent_gap_bound
 from dedpoz.simplex import OPTIMAL as LP_OPTIMAL
 from dedpoz.simplex import PreparedLp
 from dedpoz.system import SystemInstance
@@ -243,3 +245,71 @@ def test_milp1_and_one_milp2_pass_match_highs(seed):
     anchor = varmap.extract_schedule(sol.values).p
     model, varmap = build_milp2(instance, DEFAULT_TANGENT_STEPS, anchor)
     assert_matches_highs(model, solve_milp(model, varmap, config), config.gap)
+
+
+# ----- node LPs reuse the kernel inverse of their parent's basis ------------
+
+def solve_recorded(model, varmap, with_kernel):
+    """``solve_milp`` with each LP's ``(status, pivots, iterations,
+    objective)`` and the count of ``np.linalg.inv`` calls recorded; without
+    the kernel, every returned basis has it stubbed to None."""
+    lp_solve, model_basis, inv = PreparedLp.solve, PreparedLp._model_basis, np.linalg.inv
+    lps, inversions = [], [0]
+
+    def record(prep, *args, **kwargs):
+        sol = lp_solve(prep, *args, **kwargs)
+        lps.append((sol.status, sol.pivots, sol.iterations, sol.objective))
+        return sol
+
+    def count(a):
+        inversions[0] += 1
+        return inv(a)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(PreparedLp, "solve", record))
+        stack.enter_context(mock.patch.object(np.linalg, "inv", count))
+        if not with_kernel:
+            stack.enter_context(mock.patch.object(
+                PreparedLp, "_model_basis",
+                lambda prep, run: dataclasses.replace(model_basis(prep, run), kernel=None)))
+        sol = solve_milp(model, varmap, BnbConfig(gap=1e-6))
+    return sol, lps, inversions[0]
+
+
+def differential_models():
+    rng = np.random.default_rng(1501)
+    for k in range(9):  # small_batch-style: 1 to 3 units, 2 to 4 periods
+        instance = random_lossless_instance(rng, n_units=1 + k % 3, n_periods=2 + k // 3)
+        yield build_milp1(instance, tangent_steps=4)
+    for _ in range(8):  # MILP-1 and one MILP-2 pass, lossy_refine-sized
+        instance = random_lossy_instance(rng, n_units=int(rng.integers(5, 7)), n_periods=4)
+        model, varmap = build_milp1(instance)
+        yield model, varmap
+        anchor = varmap.extract_schedule(solve_milp(model, varmap).values).p
+        yield build_milp2(instance, DEFAULT_TANGENT_STEPS, anchor)
+
+
+def test_kernel_reuse_changes_no_pivot_node_or_objective():
+    branched = saved = 0
+    for model, varmap in differential_models():
+        a, a_lps, a_inv = solve_recorded(model, varmap, with_kernel=True)
+        b, b_lps, b_inv = solve_recorded(model, varmap, with_kernel=False)
+        assert a.status == b.status == OPTIMAL_WITHIN_GAP
+        assert a.node_log == b.node_log
+        assert (a.objective, a.best_bound, a.rel_gap) == (b.objective, b.best_bound, b.rel_gap)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert a_lps == b_lps
+        assert a_inv <= b_inv
+        branched += a.nodes_explored > 1
+        saved += b_inv - a_inv
+    assert branched >= 5 and saved >= 25
+
+
+def test_root_basis_is_returned_without_its_kernel():
+    rng = np.random.default_rng(1502)
+    model, varmap = build_milp1(random_lossy_instance(rng))
+    root = PreparedLp(lp_relaxation(model)).solve()
+    assert root.basis.kernel is not None
+    sol = solve_milp(model, varmap)
+    assert sol.root_basis is not None and sol.root_basis.kernel is None
+    np.testing.assert_array_equal(sol.root_basis.basic_idx, root.basis.basic_idx)

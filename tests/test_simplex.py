@@ -135,6 +135,8 @@ def test_crossed_bound_override_is_infeasible():
     prep = PreparedLp(model)
     sol = prep.solve(lower=np.array([2.0]), upper=np.array([1.0]))
     assert sol.status == INFEASIBLE
+    # read-only, as on every other solution
+    assert not sol.values.flags.writeable and not sol.dual_values.flags.writeable
 
 
 def test_binaries_must_be_relaxed_first():
@@ -423,6 +425,10 @@ def test_a_failed_factorization_is_never_reported_optimal(monkeypatch, which):
         assert calls[at] == (2, False)
     sol, _ = solve_with_failed_factor(monkeypatch, model, fail_at=at)
     assert sol.status == ITERATION_LIMIT
+    # its basis carries no kernel inverse for a warm start to reuse (the
+    # window stub keeps the old inverse, so the exit factors the basis anew)
+    assert clean.basis.kernel is not None
+    assert (sol.basis.kernel is None) == (which != "window")
 
 
 # ----- warm starts from another model's basis; the dual start --------------
@@ -675,28 +681,23 @@ def test_rows_left_out_keep_their_model_shape():
     np.testing.assert_array_equal(fresh.active, ~lazy | ~slack_basic)
 
 
-def test_warm_start_from_a_basis_saved_before_rows_were_added():
-    model, varmap = build_milp1(duplicate_system(symmetric_three_unit(), 2),
-                                tangent_steps=10)
-    relaxed = lp_relaxation(model)
-    lo = np.array([v.lb for v in model.variables])
-    hi = np.array([v.ub for v in model.variables])
-    children = []
-    for i, t in ((0, 0), (3, 1)):
-        for j in range(len(varmap.u_seg[i][t])):
-            clo, chi = lo.copy(), hi.copy()
-            clo[varmap.u_seg[i][t][j]] = chi[varmap.u_seg[i][t][j]] = 1.0
-            children.append((clo, chi))
+def test_warm_start_from_a_basis_saved_before_rows_were_added(monkeypatch):
+    model, relaxed, children = ladder_children()
     prep = PreparedLp(relaxed)
     saved = prep.solve(*children[0])
     assert saved.status == OPTIMAL
     rows_then = prep.active.copy()
     for clo, chi in children[1:]:
         prep.solve(clo, chi)
-    assert np.all(prep.active >= rows_then) and prep.active.sum() > rows_then.sum()
+    assert np.all(prep.active >= rows_then)
+    # rows joined ahead of some kernel row, so its working position moved
+    joined = np.flatnonzero(prep.active & ~rows_then)
+    assert joined.size and joined.min() < saved.basis.kernel[2].max()
     eager = PreparedLp(unmarked(relaxed))
+    loads = spy_warm_loads(monkeypatch)
     for clo, chi in children:
         warm = prep.solve(clo, chi, warm_start=saved.basis)
+        assert loads[-1] == (0, True)  # the saved kernel inverse, reused
         cold = eager.solve(clo, chi)
         assert warm.status == cold.status
         if cold.status == OPTIMAL:
@@ -898,3 +899,105 @@ def test_structural_columns_match_the_coordinate_arrays():
     full = np.zeros((prep.m, prep.n_struct))
     full[prep.rows_nz, prep.cols_nz] = prep.vals_nz
     np.testing.assert_array_equal(prep.structural_columns(cols), full[:, cols])
+
+
+# ----- a warm start reuses the kernel inverse its basis came with -----------
+
+def spy_warm_loads(monkeypatch):
+    """Per warm load, ``(np.linalg.inv calls, whether b_inv inverts the
+    loaded basis)``."""
+    load, inv = _Run._load_warm, np.linalg.inv
+    inversions, loads = [0], []
+
+    def count(a):
+        inversions[0] += 1
+        return inv(a)
+
+    def spy(run):
+        before = inversions[0]
+        ok = load(run)
+        exact = ok and np.allclose(run.b_inv @ dense_basis(run.prep, run.basic),
+                                   np.eye(run.prep.m), rtol=0.0, atol=1e-9)
+        loads.append((inversions[0] - before, exact))
+        return ok
+
+    monkeypatch.setattr(np.linalg, "inv", count)
+    monkeypatch.setattr(_Run, "_load_warm", spy)
+    return loads
+
+
+def ladder_children():
+    """The ladder's relaxed root LP and the bounds of children that each fix
+    one selector of unit 0, period 0 or unit 3, period 1 at 1."""
+    model, varmap = build_milp1(duplicate_system(symmetric_three_unit(), 2),
+                                tangent_steps=10)
+    lo = np.array([v.lb for v in model.variables])
+    hi = np.array([v.ub for v in model.variables])
+    children = []
+    for i, t in ((0, 0), (3, 1)):
+        for j in varmap.u_seg[i][t]:
+            clo, chi = lo.copy(), hi.copy()
+            clo[j] = chi[j] = 1.0
+            children.append((clo, chi))
+    return model, lp_relaxation(model), children
+
+
+def test_child_warm_start_reuses_its_parents_kernel_inverse(monkeypatch):
+    model, relaxed, children = ladder_children()
+    prep = PreparedLp(relaxed)
+    parent = prep.solve()
+    assert parent.status == OPTIMAL and parent.basis.kernel is not None
+    eager = PreparedLp(unmarked(relaxed))
+    loads = spy_warm_loads(monkeypatch)
+    for clo, chi in children:
+        child = prep.solve(clo, chi, warm_start=parent.basis)
+        assert loads[-1] == (0, True)
+        cold = eager.solve(clo, chi)
+        assert child.status == cold.status
+        if cold.status == OPTIMAL:
+            assert child.objective == pytest.approx(cold.objective, rel=1e-9)
+            _check_primal_feasible(model, child.values, tol=1e-6)
+    assert len(loads) == len(children)
+
+
+def first_that_factors(prep, basic, swaps):
+    """``basic`` after the first swap ``(position, column)`` that leaves a
+    basis that factors."""
+    for p, j in swaps:
+        trial = basic.copy()
+        trial[p] = j
+        if factored(prep, trial)[1]:
+            return trial
+    raise AssertionError("no swap leaves a basis that factors")
+
+
+def test_kernel_is_not_reused_off_its_own_model_and_basis(monkeypatch):
+    _, relaxed, children = ladder_children()
+    relaxed = unmarked(relaxed)  # so both prepared copies hold every row
+    prep = PreparedLp(relaxed)
+    parent = prep.solve()
+    child = prep.solve(*children[0], warm_start=parent.basis)
+    assert child.pivots > 0
+    basis = parent.basis
+    # the same structural columns over other rows (a kernel row's slack
+    # replaces another slack), and another structural column over the
+    # same rows
+    n, basic = prep.n_struct, basis.basic_idx
+    off_rows = first_that_factors(prep, basic, [(p, n + basis.kernel[2][0])
+                                                for p in np.flatnonzero(basic >= n)])
+    off_cols = first_that_factors(prep, basic, [(np.flatnonzero(basic < n)[0], j)
+                                                for j in np.setdiff1d(np.arange(n), basic)])
+    loads = spy_warm_loads(monkeypatch)
+    # a kernel from another prepared copy of the same model
+    other = PreparedLp(relaxed).solve(*children[0], warm_start=basis)
+    # a basis rebuilt by hand, and the parent's kernel on other bases
+    rebuilt = prep.solve(*children[0], warm_start=Basis(basis.basic_idx, basis.status))
+    swapped = prep.solve(warm_start=Basis(child.basis.basic_idx, child.basis.status,
+                                          basis.kernel))
+    off = [prep.solve(warm_start=Basis(b, basis.status, basis.kernel))
+           for b in (off_rows, off_cols)]
+    assert loads == [(1, True)] * 5
+    for sol, want in ((other, child), (rebuilt, child), (swapped, parent),
+                      (off[0], parent), (off[1], parent)):
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(want.objective, rel=1e-9)
