@@ -20,7 +20,7 @@ from .milp import MilpModel, build_milp1, build_milp2
 from .simplex import AT_LOWER, BASIC, Basis
 from .system import (FeasibilityReport, Schedule, SystemInstance,
                      evaluate_cost, evaluate_violations)
-from .errors import InfeasibleError, SolveLimitError
+from .errors import InfeasibleError, SolveLimitError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,12 @@ class IaConfig:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not self.epsilon > 0:  # NaN too
+            raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.iter_max < 1:
-            raise ValueError(f"iter_max must be >= 1, got {self.iter_max}")
+            raise ValidationError(f"iter_max must be >= 1, got {self.iter_max}")
+        if not self.gap >= 0:
+            raise ValidationError(f"gap must be >= 0, got {self.gap}")
 
 
 @dataclass(frozen=True)
@@ -98,17 +100,12 @@ def _diagnose_infeasibility(instance: SystemInstance) -> str | None:
     return None
 
 
-def _bnb_config(config: IaConfig) -> BnbConfig:
-    return BnbConfig(gap=config.gap, time_limit_s=config.time_limit_s,
-                     node_limit=config.node_limit)
-
-
 def _run_milp(model, varmap, config: IaConfig, what: str, warm_start=None):
     """Solve one MILP.  Returns ``(solution, root basis, seconds)``; the
     solution does not keep the basis, so reports do not either."""
     started = time.perf_counter()
-    sol = solve_milp(model, varmap=varmap, config=_bnb_config(config),
-                     warm_start=warm_start)
+    sol = solve_milp(model, varmap=varmap, warm_start=warm_start, config=BnbConfig(
+        gap=config.gap, time_limit_s=config.time_limit_s, node_limit=config.node_limit))
     elapsed = time.perf_counter() - started
     if sol.status == MILP_INFEASIBLE:
         if sol.limit_hit:

@@ -260,7 +260,7 @@ def read_schedule_csv(path, instance: SystemInstance) -> Schedule:
             fields = [float(v) for v in row]
         except ValueError as exc:
             raise ValidationError(f"{path}:row {k + 2}: {exc}") from exc
-        _require(int(fields[0]) == k + 1, f"{path}:row {k + 2}",
+        _require(fields[0] == k + 1, f"{path}:row {k + 2}",
                  f"period column should be {k + 1}, got {row[0]}")
         p[k] = fields[1:1 + instance.n_units]
     sr = np.clip(np.minimum(instance.p_maxs - p, instance.ramp_ups), 0.0, None)

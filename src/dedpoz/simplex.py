@@ -16,8 +16,10 @@ Revised simplex with an explicit basis inverse.  Design points:
   slack basic, and after one factorization of the grown basis the run
   resumes by dual simplex, since a new row's basic slack keeps the basis
   dual feasible.  "None broken" is read again at the iterate recomputed
-  for the exit check.  The set only grows and is shared by all solves of a
-  prepared model, so branch-and-bound nodes start from the root's rows.
+  for the exit check.  A working LP that is unbounded joins every row left
+  out and goes on through the dual start of the same run.  The set only
+  grows and is shared by all solves of a prepared model, so
+  branch-and-bound nodes start from the root's rows.
   Bases, duals and ``m`` keep the shape of the whole model; a row left out
   holds its own slack basic at its own position;
 * every solve starts by dual simplex, then finishes by primal simplex.  A
@@ -118,13 +120,8 @@ class LpSolution:
 class _Form:
     """An LP in computational form: scaled rows as coordinate and column
     arrays, rhs, costs and bound templates over the columns [structural |
-    one slack per row].  The simplex runs on any form: a whole prepared
-    model or its working rows.  Entries of the coordinate arrays are in row
-    order.  ``rows`` lists the model rows the form holds, ``full_col`` maps
-    each of its columns to the model column and ``from_full`` maps back (-1
-    for the slacks of rows left out)."""
-
-    model = None  # the prepared model whose rows left out may join
+    one slack per row].  Entries of the coordinate arrays are in row
+    order."""
 
     def ax(self, x: np.ndarray) -> np.ndarray:
         n, m = self.n_struct, self.m
@@ -155,7 +152,10 @@ class _Form:
 
 
 class _WorkingRows(_Form):
-    """The rows of a prepared model picked by ``keep``, cut out with masks."""
+    """The rows of a prepared model picked by ``keep``, cut out with masks:
+    the form every simplex run works on.  ``rows`` lists the model rows it
+    holds, ``full_col`` maps each of its columns to the model column and
+    ``from_full`` maps back (-1 for the slacks of rows left out)."""
 
     def __init__(self, prep, keep):
         n = prep.n_struct
@@ -190,8 +190,9 @@ class PreparedLp(_Form):
     """A model converted to computational form, reusable across many solves
     with different variable bounds and warm-start bases.
 
-    Solves run on the working rows: every row except the lazy ones not yet
-    found broken.  That set only grows, and it is shared by all solves.
+    It holds the whole scaled model; solves run on its working rows, a
+    ``_WorkingRows``: every row except the lazy ones not yet found broken.
+    That set only grows, and it is shared by all solves.
     """
 
     def __init__(self, model: MilpModel):
@@ -252,8 +253,6 @@ class PreparedLp(_Form):
         self.n_struct = n
         self.m = m
         self.ncols = n + m
-        self.rows = np.arange(m)
-        self.full_col = self.from_full = np.arange(self.ncols)
 
         lo = np.empty(self.ncols)
         hi = np.empty(self.ncols)
@@ -295,10 +294,9 @@ class PreparedLp(_Form):
 
     def solve(self, lower=None, upper=None, warm_start=None,
               max_iters=DEFAULT_MAX_ITERS) -> LpSolution:
-        """Solve on the working rows; every row left out that the optimum
-        breaks joins them inside the same run, which resumes from its
-        basis.  An unbounded working LP is solved again cold with all rows,
-        which may bound it.  ``max_iters`` bounds both runs together."""
+        """Solve on the working rows in one run, which goes on from its
+        basis when rows left out join: those the optimum breaks, or all of
+        them if the working LP is unbounded.  ``max_iters`` bounds the run."""
         n = self.n_struct
         lo = self.lo_template[:n] if lower is None else np.asarray(lower, dtype=float)
         hi = self.hi_template[:n] if upper is None else np.asarray(upper, dtype=float)
@@ -309,60 +307,42 @@ class PreparedLp(_Form):
             return LpSolution(INFEASIBLE, values, np.inf, duals, None, 0, 0, 0.0)
         work, warm = self._start(warm_start)
         run = _Run(work, lower, upper, warm, max_iters)
-        status = run.solve()
-        pivots, iters = run.pivots, run.iters
-        if status == UNBOUNDED and run.prep is not self:
-            self._activate(~self.active)
-            run = _Run(self, lower, upper, None, max_iters - iters)
-            status = run.solve()
-            pivots += run.pivots
-            iters += run.iters
-        return self._solution(run, status, pivots, iters)
+        return self._solution(run, run.solve())
 
     # ----- working rows ----------------------------------------------------
 
-    def _grow(self, values):
-        """The working rows after every row left out that the structural
-        point ``values`` breaks has joined them; None if none is broken."""
-        broken = ~self.active & (self.row_violation(values) > FEAS_TOL)
-        if not broken.any():
-            return None
-        self._activate(broken)
-        return self._working()
+    def _activate(self, rows) -> bool:
+        """Add ``rows`` to the working rows; False if all are in already."""
+        if not np.any(rows & ~self.active):
+            return False
+        self.active |= rows
+        self._work = None
+        return True
 
-    def _activate(self, rows):
-        if np.any(rows & ~self.active):
-            self.active |= rows
-            self._work = None
-
-    def _working(self) -> _Form:
-        if self.active.all():
-            return self
+    def _working(self) -> _WorkingRows:
         if self._work is None:
             self._work = _WorkingRows(self, self.active)
         return self._work
 
     def _start(self, warm):
         """The working rows and ``warm`` mapped onto them, or None in place
-        of a ``warm`` that does not fit the model.  A row left out must hold
-        its own slack basic; a row whose slack the basis holds nonbasic
-        joins the working rows first."""
+        of a ``warm`` that does not fit the model: m distinct columns in
+        range and one status per column.  A row left out must hold its own
+        slack basic; a row whose slack the basis holds nonbasic joins the
+        working rows first."""
         if warm is None:
             return self._working(), None
         n, m = self.n_struct, self.m
         basic = np.asarray(warm.basic_idx)
         status = np.asarray(warm.status)
         if (basic.shape != (m,) or status.shape != (self.ncols,)
-                or np.any((basic < 0) | (basic >= self.ncols))):
+                or np.any((basic < 0) | (basic >= self.ncols))
+                or np.unique(basic).size != m):
             return self._working(), None
-        if self.active.all():
-            return self, warm
         held = np.zeros(m, dtype=bool)
         held[basic[basic >= n] - n] = True
         self._activate(~held)
         work = self._working()
-        if work is self:
-            return self, warm
         basic = work.from_full[basic]  # -1 for the slack of a row left out
         return work, Basis(basic[basic >= 0], status[work.full_col], warm.kernel)
 
@@ -380,17 +360,15 @@ class PreparedLp(_Form):
         fresh = run.b_inv is not None and run.since_refactor == 0
         return Basis(basic, status, run.kernel if fresh else None)
 
-    def _solution(self, run, status, pivots, iters) -> LpSolution:
+    def _solution(self, run, status) -> LpSolution:
         work, x = run.prep, run.x
         values = x[:self.n_struct].copy()
         values.setflags(write=False)
-        resid = float(np.abs(work.ax(x) - work.b).max(initial=0.0))
+        resid = max(float(np.abs(work.ax(x) - work.b).max(initial=0.0)),
+                    float(self.row_violation(values)[~self.active].max(initial=0.0)))
         duals = np.zeros(self.m)
         if run.b_inv is not None:
             duals[work.rows] = (run.b_inv.T @ work.c[run.basic]) / work.row_scale
-        if work is not self:
-            resid = max(resid, float(
-                self.row_violation(values)[~self.active].max(initial=0.0)))
         duals.setflags(write=False)
         objective = float(work.c @ x + work.constant)
         if status == INFEASIBLE:
@@ -398,7 +376,7 @@ class PreparedLp(_Form):
         elif status == UNBOUNDED:
             objective = -np.inf
         return LpSolution(status, values, objective, duals, self._model_basis(run),
-                          pivots, iters, resid)
+                          run.pivots, run.iters, resid)
 
 
 def solve_lp(model: MilpModel, warm_start: Basis | None = None,
@@ -617,9 +595,6 @@ class _Run:
     def _load_warm(self) -> bool:
         warm = self.warm
         prep = self.prep
-        if (warm.basic_idx.shape != (prep.m,) or warm.status.shape != (prep.ncols,)
-                or len(np.unique(warm.basic_idx)) != prep.m):
-            return False
         self.basic = warm.basic_idx.astype(np.int64).copy()
         self.status = warm.status.astype(np.int8).copy()
         in_basis = np.zeros(prep.ncols, dtype=bool)
@@ -801,7 +776,9 @@ class _Run:
         An optimum that breaks rows the working rows leave out is not
         final: those rows join, and dual then primal simplex resume.  They
         are checked at the optimal iterate and once more at the recomputed
-        one, so "none broken" is read from a fresh factorization."""
+        one, so "none broken" is read from a fresh factorization.  An
+        unbounded exit with rows left out joins them all and goes on through
+        the dual start: its basis need not be dual feasible."""
         if self.warm is not None:
             status = self._warm(self.prep.c)
         else:
@@ -810,6 +787,9 @@ class _Run:
         while self.b_inv is not None:
             if status == OPTIMAL and self._join_broken():
                 status = self._resume() if self._factor() else ITERATION_LIMIT
+                continue
+            if status == UNBOUNDED and self._join(~self.prep.model.active):
+                status = self._dual_start(self.prep.c) if self._factor() else ITERATION_LIMIT
                 continue
             if self.since_refactor > 0 and not self._factor():
                 break
@@ -836,19 +816,22 @@ class _Run:
         return self._primal(self.prep.c) if status == OPTIMAL else status
 
     def _join_broken(self) -> bool:
-        """Move onto the working rows grown by every row left out that the
-        iterate breaks, each new row holding its own slack basic; False if
-        none is broken.  The grown basis still needs its factorization.
+        """Join every row left out that the iterate breaks; False if none is."""
+        model = self.prep.model
+        return self._join(model.row_violation(self.x[:model.n_struct]) > FEAS_TOL)
+
+    def _join(self, rows) -> bool:
+        """Move onto the working rows grown by the model ``rows``, each new
+        row holding its own slack basic; False if all are in already.  The
+        grown basis still needs its factorization.
 
         The new slacks have zero cost, so the duals of the old rows stay
         and the new rows price at zero: an optimal basis stays dual
         feasible and dual simplex picks up from it."""
         old = self.prep
-        if old.model is None:
+        if not old.model._activate(rows):
             return False
-        new = old.model._grow(self.x[:old.n_struct])
-        if new is None:
-            return False
+        new = old.model._working()
         n = old.n_struct
         to_new = new.from_full[old.full_col]
         lo, hi = new.lo_template.copy(), new.hi_template.copy()

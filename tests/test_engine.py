@@ -11,6 +11,7 @@ from dedpoz import (
     InfeasibleError,
     LossModel,
     SystemInstance,
+    ValidationError,
     duplicate_system,
     evaluate_cost,
     evaluate_violations,
@@ -40,6 +41,10 @@ def test_config_validation():
         IaConfig(epsilon=0.0)
     with pytest.raises(ValueError, match="iter_max must be >= 1"):
         IaConfig(iter_max=0)
+    with pytest.raises(ValidationError, match="epsilon must be > 0"):
+        IaConfig(epsilon=float("nan"))
+    with pytest.raises(ValidationError, match="gap must be >= 0"):
+        IaConfig(gap=-1.0)
 
 
 def test_midpoint_anchor():

@@ -341,12 +341,19 @@ CSV_ERRORS = [
      r"row 3: could not convert"),
     ("t,unit_1,unit_2,loss_mw\n5,15.0,25.0,0.0\n2,20.0,40.0,0.0\n",
      r"period column should be 1, got 5"),
+    ("t,unit_1,unit_2,loss_mw\nnan,15.0,25.0,0.0\n2,20.0,40.0,0.0\n",
+     r"period column should be 1, got nan"),
+    ("t,unit_1,unit_2,loss_mw\ninf,15.0,25.0,0.0\n2,20.0,40.0,0.0\n",
+     r"period column should be 1, got inf"),
+    ("t,unit_1,unit_2,loss_mw\n1.7,15.0,25.0,0.0\n2,20.0,40.0,0.0\n",
+     r"period column should be 1, got 1.7"),
 ]
 
 
 @pytest.mark.parametrize("text,match", CSV_ERRORS,
                          ids=["empty", "header", "row-count", "field-count",
-                              "non-numeric", "period-column"])
+                              "non-numeric", "period-column", "period-nan",
+                              "period-inf", "period-fraction"])
 def test_read_schedule_csv_rejects(tmp_path, text, match):
     inst = parse_instance(instance_dict())
     path = tmp_path / "sched.csv"
@@ -446,6 +453,14 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main([]) == 3
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,value", [("--max-iter", "0"), ("--epsilon", "0"),
+                                        ("--epsilon", "nan"), ("--gap", "-1")])
+def test_cli_bad_solve_options_are_input_errors(tmp_path, capsys, flag, value):
+    path = _write_json(tmp_path, instance_dict())
+    assert main(["solve", "--instance", path, flag, value]) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_solve_writes_outputs(tmp_path, capsys):

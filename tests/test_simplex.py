@@ -24,6 +24,7 @@ from dedpoz.simplex import (
     PreparedLp,
     _default_status,
     _Run,
+    _WorkingRows,
     solve_lp,
 )
 from support import (enumeration_milp_min, random_lossless_instance,
@@ -229,8 +230,13 @@ def dense_basis(prep, basic):
     return full[:, basic]
 
 
+def all_rows(prep):
+    """The working-rows form of ``prep`` that holds every row."""
+    return _WorkingRows(prep, np.ones(prep.m, dtype=bool))
+
+
 def factored(prep, basic):
-    run = _Run(prep, None, None, None, DEFAULT_MAX_ITERS)
+    run = _Run(all_rows(prep), None, None, None, DEFAULT_MAX_ITERS)
     run.basic = np.asarray(basic, dtype=np.int64)
     return run, run._factor()
 
@@ -705,19 +711,33 @@ def test_warm_start_from_a_basis_saved_before_rows_were_added(monkeypatch):
             _check_primal_feasible(model, warm.values, tol=1e-6)
 
 
-def test_working_rows_that_are_unbounded_or_infeasible():
-    # x free; only the lazy row bounds it
+def test_working_rows_that_are_unbounded_or_infeasible(monkeypatch):
+    runs = []
+    init = _Run.__init__
+
+    def spy_init(run, *args):
+        runs.append(run)
+        init(run, *args)
+
+    monkeypatch.setattr(_Run, "__init__", spy_init)
+    # x free; only the lazy row bounds it, and it joins the unbounded
+    # working LP inside the same run
     bounded_by_lazy = lp([(-np.inf, np.inf), (0.0, 1.0)],
                          [([(0, 1.0)], GE, -5.0), ([(0, 1.0), (1, 1.0)], LE, 9.0)],
                          [(0, 1.0), (1, -1.0)], lazy={0})
-    sol = solve_lp(bounded_by_lazy)
+    prep = PreparedLp(bounded_by_lazy)
+    sol = prep.solve()
     assert sol.status == OPTIMAL and sol.objective == pytest.approx(-6.0)
+    assert len(runs) == 1 and prep.active.all()
+    np.testing.assert_allclose(sol.values, [-5.0, 1.0], atol=1e-9)
     unbounded = lp([(-np.inf, np.inf)], [([(0, 1.0)], LE, 3.0)], [(0, 1.0)], lazy={0})
     assert solve_lp(unbounded).status == UNBOUNDED
+    assert len(runs) == 2
     # the rows kept already conflict, so every row together does too
     infeasible = lp([(0.0, 4.0)], [([(0, 1.0)], GE, 5.0), ([(0, 1.0)], LE, 9.0)],
                     [(0, 1.0)], lazy={1})
     assert solve_lp(infeasible).status == INFEASIBLE
+    assert len(runs) == 3
 
 
 def test_iteration_budget_is_shared_by_all_rounds():
@@ -823,7 +843,7 @@ def test_warm_statuses_match_the_per_column_rule():
     for _ in range(20):
         status = rng.integers(0, 4, size=prep.ncols).astype(np.int8)
         basic = np.array([int(rng.integers(n))])
-        run = _Run(prep, None, None, Basis(basic, status), DEFAULT_MAX_ITERS)
+        run = _Run(all_rows(prep), None, None, Basis(basic, status), DEFAULT_MAX_ITERS)
         run._load_warm()
         expected = status.copy()
         for j in range(prep.ncols):
@@ -856,7 +876,7 @@ def test_crash_holds_every_free_column_on_a_triangular_basis():
     for k, model in enumerate(models):
         prep = PreparedLp(model)
         n, m = prep.n_struct, prep.m
-        run = _Run(prep, None, None, None, DEFAULT_MAX_ITERS)
+        run = _Run(all_rows(prep), None, None, None, DEFAULT_MAX_ITERS)
         assert run._crash()  # factors on the first try
         basic = run.basic
         assert basic.shape == (m,) and np.all((basic >= 0) & (basic < n + m))
