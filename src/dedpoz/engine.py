@@ -30,7 +30,7 @@ class IaConfig:
     iter_max: int = 5
     tangent_steps: int = 4
     gap: float = 1e-4
-    time_limit_s: float = 300.0
+    time_limit_s: float | None = 300.0  # None: no limit
     node_limit: int | None = None
 
     def __post_init__(self):
@@ -40,6 +40,8 @@ class IaConfig:
             raise ValidationError(f"iter_max must be >= 1, got {self.iter_max}")
         if not self.gap >= 0:
             raise ValidationError(f"gap must be >= 0, got {self.gap}")
+        if self.time_limit_s is not None and not self.time_limit_s >= 0:
+            raise ValidationError(f"time_limit_s must be >= 0 or None, got {self.time_limit_s}")
 
 
 @dataclass(frozen=True)

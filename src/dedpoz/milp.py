@@ -79,7 +79,7 @@ class MilpModel:
         for v in self.variables:
             if v.kind not in (CONTINUOUS, BINARY):
                 raise ValidationError(f"variable {v.name}: unknown kind {v.kind!r}")
-            if v.lb > v.ub:
+            if not v.lb <= v.ub:  # NaN too
                 raise ValidationError(f"variable {v.name}: lb {v.lb} > ub {v.ub}")
             if v.kind == BINARY and (v.lb < 0 or v.ub > 1):
                 raise ValidationError(f"binary {v.name} must have bounds within [0, 1]")

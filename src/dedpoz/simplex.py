@@ -14,12 +14,10 @@ Revised simplex with an explicit basis inverse.  Design points:
   with masks.  At an optimum the rows left out are checked against the
   point; every broken one joins the set inside the same run, with its
   slack basic, and after one factorization of the grown basis the run
-  resumes by dual simplex, since a new row's basic slack keeps the basis
-  dual feasible.  "None broken" is read again at the iterate recomputed
-  for the exit check.  A working LP that is unbounded joins every row left
-  out and goes on through the dual start of the same run.  The set only
-  grows and is shared by all solves of a prepared model, so
-  branch-and-bound nodes start from the root's rows.
+  goes on through the dual start.  A working LP that is unbounded joins
+  every row left out the same way.  The set only grows and is shared by
+  all solves of a prepared model, so branch-and-bound nodes start from
+  the root's rows.
   Bases, duals and ``m`` keep the shape of the whole model; a row left out
   holds its own slack basic at its own position;
 * every solve starts by dual simplex, then finishes by primal simplex.  A
@@ -39,9 +37,6 @@ Revised simplex with an explicit basis inverse.  Design points:
   moves to its other bound, and any other one has its cost shifted by
   minus its reduced cost for the dual phase (cost shifting); the primal
   phase runs on the true costs;
-* dual simplex reports "infeasible" only from a row read on a fresh
-  factorization: a row with no entering column after pivots is read again
-  after a refactorization;
 * pricing takes the largest reduced cost scaled by column norm, with a
   switch to Bland's rule after 1,000 degenerate steps;
 * both ratio tests are Harris two-pass: the first pass bounds the step with
@@ -58,10 +53,14 @@ Revised simplex with an explicit basis inverse.  Design points:
 * the iterate and reduced costs are updated per pivot and recomputed from
   scratch at every refactorization, at the latest ``REFACTOR_EVERY``
   pivots after the last one;
-* an optimal exit is trusted only after the iterate, recomputed from a
-  fresh factorization, meets its bounds; otherwise dual then primal simplex
-  repair it, and a basis that cannot be repaired is not reported optimal;
-* a basis that fails to factor ends the solve as ``iteration_limit``.
+* one rule reads every verdict (optimal, infeasible, unbounded): one
+  reached after pivots is read again, by factoring the basis afresh and
+  going back through the dual start, which also rechecks the sign of the
+  reduced costs; it stands only once a run from a fresh factorization
+  reaches it without a pivot.  An optimum must then also meet its bounds
+  at the recomputed iterate, else the dual start repairs it (twice at
+  most, or it is not reported optimal).  ``iteration_limit`` is never
+  read again, and a basis that fails to factor ends the solve with it.
 """
 
 from dataclasses import dataclass, field
@@ -214,22 +213,19 @@ class PreparedLp(_Form):
         rows = np.array(rows, dtype=np.int64)
         cols = np.array(cols, dtype=np.int64)
         vals = np.array(vals, dtype=float)
+        scale = np.ones(m)
         if rows.size:
             # coalesce duplicate (row, col) entries so downstream scatter
-            # operations see one coefficient per cell
+            # operations see one coefficient per cell; the sorted keys leave
+            # the entries in row order
             keys = rows * n + cols
             uniq, inverse = np.unique(keys, return_inverse=True)
             vals = np.bincount(inverse, weights=vals, minlength=uniq.size)
             rows = (uniq // n).astype(np.int64)
             cols = (uniq % n).astype(np.int64)
-
-        scale = np.ones(m)
-        if rows.size:
-            order = np.argsort(rows, kind="stable")
-            r_sorted = rows[order]
-            mag = np.abs(vals[order])
-            starts = np.searchsorted(r_sorted, np.arange(m))
-            ends = np.searchsorted(r_sorted, np.arange(m) + 1)
+            mag = np.abs(vals)
+            starts = np.searchsorted(rows, np.arange(m))
+            ends = np.searchsorted(rows, np.arange(m) + 1)
             nonempty = ends > starts
             row_max = np.ones(m)
             row_min = np.ones(m)
@@ -637,10 +633,15 @@ class _Run:
         boxed = np.isfinite(self.lo) & np.isfinite(self.hi)
         self.status[up & boxed] = AT_UPPER
         self.status[down & boxed] = AT_LOWER
-        status = self._dual(c + np.where((up | down) & ~boxed, -d, 0.0))
+        shifted = (up | down) & ~boxed
+        status = self._dual(c + np.where(shifted, -d, 0.0))
         if status != OPTIMAL:
             return status  # a row that proves infeasibility does so at any costs
-        return self._primal(c)  # back to the true costs
+        if self.since_refactor > 0 or shifted.any():
+            # back to the true costs; otherwise the dual phase read x and d
+            # on them and has not pivoted since
+            self._refresh(c)
+        return self._primal(c)
 
     # ----- primal simplex --------------------------------------------------
 
@@ -648,7 +649,6 @@ class _Run:
         prep = self.prep
         m = prep.m
         movable = self.lo < self.hi
-        self._refresh(c)
         while True:
             if self.iters >= self.max_iters:
                 return ITERATION_LIMIT
@@ -743,13 +743,7 @@ class _Run:
                     | ((self.status == FREE_ZERO) & (np.abs(alpha) > PIVOT_TOL)))
                 denom = alpha
             if not elig.any():
-                if self.since_refactor == 0:
-                    return INFEASIBLE
-                # this row decides infeasibility: read it again from a
-                # fresh factorization before trusting it
-                if not self._refactor(c):
-                    return ITERATION_LIMIT
-                continue
+                return INFEASIBLE
             ratios = np.full(prep.ncols, np.inf)
             ratios[elig] = np.maximum(d[elig] / denom[elig], 0.0)
             theta = float(ratios.min())
@@ -769,51 +763,43 @@ class _Run:
     # ----- driver ----------------------------------------------------------
 
     def solve(self) -> str:
-        """Run to a final status; ``x`` then holds the iterate recomputed
-        from a fresh factorization of the final basis.  A basis that fails
-        to factor ends the run at once as ITERATION_LIMIT.
-
-        An optimum that breaks rows the working rows leave out is not
-        final: those rows join, and dual then primal simplex resume.  They
-        are checked at the optimal iterate and once more at the recomputed
-        one, so "none broken" is read from a fresh factorization.  An
-        unbounded exit with rows left out joins them all and goes on through
-        the dual start: its basis need not be dual feasible."""
-        if self.warm is not None:
-            status = self._warm(self.prep.c)
-        else:
-            status = self._cold(self.prep.c)
+        """Run to a final status.  A verdict reached after pivots is not
+        final: rows left out join first (those the iterate breaks at an
+        optimum, all of them when unbounded); either way the basis is
+        factored again and the run goes back through the dual start, which
+        reads the reduced costs afresh.  A verdict stands only when a run
+        from a fresh factorization reaches it without a pivot; ``x`` is
+        then recomputed, and an optimum must also meet its bounds (two
+        repairs at most) and break no row left out.  ITERATION_LIMIT is
+        never re-run, and a basis that fails to factor ends the run at once
+        with it."""
+        start = self._warm if self.warm is not None else self._cold
+        status = start(self.prep.c)
         repairs = 0
-        while self.b_inv is not None:
-            if status == OPTIMAL and self._join_broken():
-                status = self._resume() if self._factor() else ITERATION_LIMIT
-                continue
-            if status == UNBOUNDED and self._join(~self.prep.model.active):
-                status = self._dual_start(self.prep.c) if self._factor() else ITERATION_LIMIT
-                continue
-            if self.since_refactor > 0 and not self._factor():
-                break
-            self.x = self._compute_x()
-            if status != OPTIMAL:
+        while True:
+            fresh = self.since_refactor == 0
+            if fresh and status != ITERATION_LIMIT:
+                self.x = self._compute_x()
+                # the updated iterate can drift from the one the basis
+                # defines; an optimum is checked at the recomputed one
+                xb = self.x[self.basic]
+                if status == OPTIMAL and not np.all((xb >= self.lo[self.basic] - FEAS_TOL)
+                                                    & (xb <= self.hi[self.basic] + FEAS_TOL)):
+                    if repairs == 2:
+                        return ITERATION_LIMIT
+                    repairs += 1
+                    status = self._dual_start(self.prep.c)
+                    continue
+            joined = (status == OPTIMAL and self._join_broken()
+                      or status == UNBOUNDED and self._join(~self.prep.model.active))
+            if fresh and not joined:
                 return status
-            # the updated iterate can drift from the one the basis defines;
-            # check the recomputed one before calling it optimal
-            xb = self.x[self.basic]
-            if np.all((xb >= self.lo[self.basic] - FEAS_TOL)
-                      & (xb <= self.hi[self.basic] + FEAS_TOL)):
-                if not self._join_broken():
-                    return status
-                status = self._resume() if self._factor() else ITERATION_LIMIT
-                continue
-            if repairs == 2:
+            if not self._factor():
                 return ITERATION_LIMIT
-            repairs += 1
-            status = self._resume()
-        return ITERATION_LIMIT
-
-    def _resume(self) -> str:
-        status = self._dual(self.prep.c)
-        return self._primal(self.prep.c) if status == OPTIMAL else status
+            if status == ITERATION_LIMIT:
+                self.x = self._compute_x()
+                return status
+            status = self._dual_start(self.prep.c)
 
     def _join_broken(self) -> bool:
         """Join every row left out that the iterate breaks; False if none is."""
@@ -827,7 +813,7 @@ class _Run:
 
         The new slacks have zero cost, so the duals of the old rows stay
         and the new rows price at zero: an optimal basis stays dual
-        feasible and dual simplex picks up from it."""
+        feasible and the dual start picks up from it."""
         old = self.prep
         if not old.model._activate(rows):
             return False

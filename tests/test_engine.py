@@ -45,6 +45,11 @@ def test_config_validation():
         IaConfig(epsilon=float("nan"))
     with pytest.raises(ValidationError, match="gap must be >= 0"):
         IaConfig(gap=-1.0)
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValidationError, match="time_limit_s must be >= 0 or None"):
+            IaConfig(time_limit_s=bad)
+    assert IaConfig(time_limit_s=None).time_limit_s is None
+    assert IaConfig(time_limit_s=0).time_limit_s == 0
 
 
 def test_midpoint_anchor():

@@ -456,7 +456,8 @@ def test_cli_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--max-iter", "0"), ("--epsilon", "0"),
-                                        ("--epsilon", "nan"), ("--gap", "-1")])
+                                        ("--epsilon", "nan"), ("--gap", "-1"),
+                                        ("--time-limit", "nan"), ("--time-limit", "-1")])
 def test_cli_bad_solve_options_are_input_errors(tmp_path, capsys, flag, value):
     path = _write_json(tmp_path, instance_dict())
     assert main(["solve", "--instance", path, flag, value]) == 3

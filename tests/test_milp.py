@@ -219,8 +219,9 @@ def test_model_validate_rejects_bad_pieces():
     ok_var = Variable("x", CONTINUOUS, 0.0, 1.0)
     with pytest.raises(ValidationError, match="unknown kind"):
         MilpModel((Variable("x", "int", 0, 1),), (), ()).validate()
-    with pytest.raises(ValidationError, match="lb"):
-        MilpModel((Variable("x", CONTINUOUS, 2.0, 1.0),), (), ()).validate()
+    for lb, ub in ((2.0, 1.0), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValidationError, match="lb"):
+            MilpModel((Variable("x", CONTINUOUS, lb, ub),), (), ()).validate()
     with pytest.raises(ValidationError, match="bounds within"):
         MilpModel((Variable("x", BINARY, 0.0, 2.0),), (), ()).validate()
     with pytest.raises(ValidationError, match="out of range"):

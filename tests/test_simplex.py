@@ -377,7 +377,7 @@ def test_optimal_exit_that_breaks_a_bound_is_repaired_or_withheld(monkeypatch):
 
     monkeypatch.setattr(_Run, "_dual", stale_first)
     warm = prep.solve(lower=lo, upper=hi, warm_start=base.basis)
-    assert len(calls) == 2
+    assert len(calls) == 3  # the stale claim, the repair, its re-read
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
 
@@ -514,7 +514,8 @@ def test_dual_infeasible_warm_basis_is_shifted_not_restarted(monkeypatch):
     repriced = lp(bounds, rows, [(0, 3.0), (1, 1.0)])
     cold = solve_lp(repriced)
     warm, calls = _spied_warm_start(monkeypatch, repriced, basis)
-    assert calls == [(True, AT_LOWER)]
+    # after the pivots, the re-read from a fresh factorization needs no shift
+    assert calls == [(True, AT_LOWER), (False, BASIC)]
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     np.testing.assert_allclose(warm.values, [0.0, 2.0], atol=1e-12)
@@ -527,8 +528,9 @@ def test_dual_infeasible_boxed_column_flips_instead_of_shifting(monkeypatch):
     repriced = lp(bounds, rows, [(0, 3.0), (1, 1.0)])
     cold = solve_lp(repriced)
     warm, calls = _spied_warm_start(monkeypatch, repriced, basis)
-    # x1 moved to its upper bound, where its negative reduced cost is right
-    assert calls == [(False, AT_UPPER)]
+    # x1 moved to its upper bound, where its negative reduced cost is right;
+    # it enters the basis, and the re-read needs no shift
+    assert calls == [(False, AT_UPPER), (False, BASIC)]
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     np.testing.assert_allclose(warm.values, [0.0, 2.0], atol=1e-12)
@@ -558,6 +560,30 @@ def test_dual_infeasible_exit_is_rechecked(monkeypatch):
     assert hidden == [1]
     assert sol.status == OPTIMAL
     np.testing.assert_allclose(sol.values, [2.0, 4.0, 3.0], atol=1e-8)
+
+
+def test_optimal_claim_after_pivots_is_read_again(monkeypatch):
+    # x0 prices below zero at its lower bound with no upper bound, so the
+    # dual phase shifts its cost; the violated x1 >= 1 makes it pivot.  The
+    # stub claims the dual phase's point optimal for the true costs
+    model = lp([(0.0, np.inf), (0.0, np.inf)],
+               [([(0, 1.0), (1, 1.0)], LE, 4.0), ([(1, 1.0)], GE, 1.0)],
+               [(0, -1.0), (1, 1.0)])
+    primal = _Run._primal
+    claims = []
+
+    def optimal_once(run, c):
+        if not claims:
+            claims.append(run.since_refactor)
+            return OPTIMAL
+        return primal(run, c)
+
+    monkeypatch.setattr(_Run, "_primal", optimal_once)
+    sol = solve_lp(model)
+    assert claims[0] > 0
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(-2.0, abs=1e-12)
+    np.testing.assert_allclose(sol.values, [3.0, 1.0], atol=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -919,6 +945,20 @@ def test_structural_columns_match_the_coordinate_arrays():
     full = np.zeros((prep.m, prep.n_struct))
     full[prep.rows_nz, prep.cols_nz] = prep.vals_nz
     np.testing.assert_array_equal(prep.structural_columns(cols), full[:, cols])
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_lps())
+def test_coordinate_entries_are_in_row_order(model):
+    # the crash's row pointer is a searchsorted over rows_nz
+    prep = PreparedLp(model)
+    assert np.all(np.diff(prep.rows_nz) >= 0)
+    row_ptr = np.searchsorted(prep.rows_nz, np.arange(prep.m + 1))
+    assert row_ptr[0] == 0 and row_ptr[-1] == prep.rows_nz.size
+    for r, con in enumerate(model.constraints):
+        span = slice(row_ptr[r], row_ptr[r + 1])
+        np.testing.assert_array_equal(prep.rows_nz[span], r)
+        assert sorted(prep.cols_nz[span]) == sorted(j for j, _ in con.coeffs)
 
 
 # ----- a warm start reuses the kernel inverse its basis came with -----------
