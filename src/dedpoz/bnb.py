@@ -41,6 +41,16 @@ class BnbConfig:
     use_heuristic: bool = True
     log_stream: object = None
 
+    def __post_init__(self):
+        for name in ("gap", "int_tol"):
+            if not getattr(self, name) >= 0:  # NaN too
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.time_limit_s is not None and not self.time_limit_s >= 0:
+            raise ValidationError(f"time_limit_s must be >= 0 or None, got {self.time_limit_s}")
+        if self.node_limit is not None and not (isinstance(self.node_limit, int)
+                                                and self.node_limit >= 0):
+            raise ValidationError(f"node_limit must be an int >= 0 or None, got {self.node_limit}")
+
 
 @dataclass(frozen=True)
 class MilpSolution:

@@ -4,9 +4,10 @@ Two entry points: a single-shot solve for lossless systems, and an
 anchor-refinement loop for systems with a quadratic network-loss model.  The
 loop alternates between solving a linearized problem and re-anchoring the
 loss cut at a blend of the last two dispatches until the power balance checks
-out against the true loss at every period.  Each pass's root LP starts from
-the previous pass's root basis, mapped onto the new model by column and row
-names, so only the first pass starts cold.
+out against the true loss at every period.  Every pass is built in one
+layout, MILP-2's, with the loss terms switched off in pass 1, so each pass's
+root LP starts from the previous pass's root basis as it is, and only the
+first pass starts cold.
 """
 
 import dataclasses
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bnb import MILP_INFEASIBLE, BnbConfig, MilpSolution, solve_milp
-from .milp import MilpModel, build_milp1, build_milp2
-from .simplex import AT_LOWER, BASIC, Basis
+from .milp import build_milp1, build_milp2
 from .system import (FeasibilityReport, Schedule, SystemInstance,
                      evaluate_cost, evaluate_violations)
 from .errors import InfeasibleError, SolveLimitError, ValidationError
@@ -38,10 +38,12 @@ class IaConfig:
             raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.iter_max < 1:
             raise ValidationError(f"iter_max must be >= 1, got {self.iter_max}")
-        if not self.gap >= 0:
-            raise ValidationError(f"gap must be >= 0, got {self.gap}")
-        if self.time_limit_s is not None and not self.time_limit_s >= 0:
-            raise ValidationError(f"time_limit_s must be >= 0 or None, got {self.time_limit_s}")
+        self._bnb()  # validates gap, time_limit_s and node_limit
+
+    def _bnb(self) -> BnbConfig:
+        """The branch-and-bound settings of every MILP solve."""
+        return BnbConfig(gap=self.gap, time_limit_s=self.time_limit_s,
+                         node_limit=self.node_limit)
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,7 @@ def _run_milp(model, varmap, config: IaConfig, what: str, warm_start=None):
     """Solve one MILP.  Returns ``(solution, root basis, seconds)``; the
     solution does not keep the basis, so reports do not either."""
     started = time.perf_counter()
-    sol = solve_milp(model, varmap=varmap, warm_start=warm_start, config=BnbConfig(
-        gap=config.gap, time_limit_s=config.time_limit_s, node_limit=config.node_limit))
+    sol = solve_milp(model, varmap=varmap, warm_start=warm_start, config=config._bnb())
     elapsed = time.perf_counter() - started
     if sol.status == MILP_INFEASIBLE:
         if sol.limit_hit:
@@ -115,37 +116,6 @@ def _run_milp(model, varmap, config: IaConfig, what: str, warm_start=None):
                 f"{what}: a limit stopped the search before any feasible dispatch")
         raise InfeasibleError(f"{what}: no feasible dispatch exists")
     return dataclasses.replace(sol, root_basis=None), sol.root_basis, elapsed
-
-
-def _carry_basis(basis: Basis | None, old: MilpModel, new: MilpModel) -> Basis | None:
-    """``basis``, a model-shape basis of ``old``'s LP, mapped onto ``new``:
-    structural columns by variable name, slacks by row name.
-    The structural columns only ``new`` has enter the basis, and the slacks
-    of its new rows fill any places left.  None (a cold start) when the
-    counts do not fit."""
-    if basis is None:
-        return None
-    n, m = new.n_variables, new.n_constraints
-    var_at = {v.name: j for j, v in enumerate(new.variables)}
-    row_at = {con.name: r for r, con in enumerate(new.constraints)}
-    var_map = np.array([var_at.get(v.name, -1) for v in old.variables], dtype=np.int64)
-    row_map = np.array([row_at.get(con.name, -1) for con in old.constraints],
-                       dtype=np.int64)
-    col_map = np.concatenate([var_map, np.where(row_map >= 0, n + row_map, -1)])
-    basic = col_map[basis.basic_idx]
-    basic = np.concatenate([basic[basic >= 0], np.setdiff1d(np.arange(n), var_map)])
-    new_rows = np.setdiff1d(np.arange(m), row_map)
-    fill = m - basic.size
-    if not 0 <= fill <= new_rows.size:
-        return None
-    basic = np.concatenate([basic, n + new_rows[:fill]])
-    # the simplex moves a status that names an infinite bound to the finite
-    # one, so AT_LOWER gives every new nonbasic column its default status
-    status = np.full(n + m, AT_LOWER, dtype=np.int8)
-    kept = col_map >= 0
-    status[col_map[kept]] = basis.status[kept]
-    status[basic] = BASIC
-    return Basis(basic, status)
 
 
 def solve_ded_no_loss(instance: SystemInstance,
@@ -174,12 +144,12 @@ def solve_ded_with_loss(instance: SystemInstance,
                         config: IaConfig | None = None) -> DispatchReport:
     """Anchor-refinement dispatch for a system with a quadratic loss model.
 
-    Pass 1 ignores loss to get a starting dispatch; pass 2 linearizes the
-    loss around it.  Each later pass re-anchors at the midpoint of the two
-    previous dispatches and stops once every period's generation matches
-    demand plus the true loss to within ``config.epsilon`` MW.  If the
-    iteration budget runs out, the best pass-3-or-later dispatch (smallest
-    worst-period mismatch) is returned.
+    Pass 1 switches the loss terms off to get a starting dispatch; pass 2
+    linearizes the loss around it.  Each later pass re-anchors at the
+    midpoint of the two previous dispatches and stops once every period's
+    generation matches demand plus the true loss to within
+    ``config.epsilon`` MW.  If the iteration budget runs out, the best
+    pass-3-or-later dispatch (smallest worst-period mismatch) is returned.
     """
     config = config or IaConfig()
     if instance.loss_model is None:
@@ -190,19 +160,13 @@ def solve_ded_with_loss(instance: SystemInstance,
 
     iterations: list[IaIteration] = []
     passes = []  # (k, schedule, MILP solution, audit) per pass
-    model = basis = None
+    basis = None
 
     def run_pass(k, anchor):
-        nonlocal model, basis
-        if anchor is None:
-            new, varmap = build_milp1(instance, tangent_steps=config.tangent_steps)
-        else:
-            new, varmap = build_milp2(instance, tangent_steps=config.tangent_steps,
-                                      anchors=anchor)
-        warm = _carry_basis(basis, model, new)
-        model = new
+        nonlocal basis
+        model, varmap = build_milp2(instance, config.tangent_steps, anchor)
         sol, basis, elapsed = _run_milp(
-            new, varmap, config, f"pass {k}" if k > 1 else "pass 1 (lossless)", warm)
+            model, varmap, config, f"pass {k}" if k > 1 else "pass 1 (lossless)", basis)
         sched = varmap.extract_schedule(sol.values)
         audit = evaluate_violations(instance, sched, use_loss=True)
         iterations.append(IaIteration(

@@ -12,7 +12,8 @@ Two formulations are built from a :class:`~dedpoz.system.SystemInstance`:
 * ``build_milp2``: lossy dispatch.  The power balance carries the constant
   and linear loss terms explicitly plus one free variable per period for the
   quadratic part, bounded below by a single tangent-plane cut anchored at a
-  caller-supplied schedule.
+  caller-supplied schedule.  With no schedule the loss terms are switched
+  off: the same variables and rows, with the quadratic part fixed at 0.
 
 All rows are expressed in MW; per-unit loss coefficients are folded into the
 row coefficients at build time.
@@ -209,7 +210,7 @@ def tangent_cut(beta: float, gamma: float, p_bar: float) -> tuple:
     return 2.0 * gamma * p_bar + beta, -gamma * p_bar * p_bar
 
 
-def _build(instance: SystemInstance, steps: int, anchors) -> tuple:
+def _build(instance: SystemInstance, steps: int, anchors, lossy: bool) -> tuple:
     plan = make_tangent_plan(instance, steps)
     n, t_count = instance.n_units, instance.n_periods
     b = _ModelBuilder()
@@ -237,15 +238,15 @@ def _build(instance: SystemInstance, steps: int, anchors) -> tuple:
         for i, u in enumerate(instance.units))
 
     loss_quad = None
-    lossy = anchors is not None
     if lossy:
+        on = anchors is not None  # off: no loss terms, and qloss(t) fixed at 0
         lm = instance.loss_model
         base = lm.base_mva
         b_mw = lm.b_matrix / base        # quadratic loss coefficients in 1/MW
-        b0 = np.asarray(lm.b0)           # dimensionless in the MW balance
-        b00_mw = lm.b00 * base
-        loss_quad = tuple(b.var(f"qloss({t})", CONTINUOUS, -np.inf, np.inf)
-                          for t in range(t_count))
+        b0 = np.asarray(lm.b0) if on else np.zeros(n)  # dimensionless in the MW balance
+        b00_mw = lm.b00 * base if on else 0.0
+        bounds = (-np.inf, np.inf) if on else (0.0, 0.0)
+        loss_quad = tuple(b.var(f"qloss({t})", CONTINUOUS, *bounds) for t in range(t_count))
 
     # rows, in dump order: POZ, linking, selection, cuts, balance, ramp, reserve
     for i in range(n):
@@ -274,11 +275,13 @@ def _build(instance: SystemInstance, steps: int, anchors) -> tuple:
                           lazy=0 < ell < plan.steps)
     if lossy:
         for t in range(t_count):
-            a_t = anchors[t]
-            grad = 2.0 * (b_mw @ a_t)
-            coeffs = [(loss_quad[t], 1.0)] + [
-                (p_total[i][t], -grad[i]) for i in range(n) if grad[i] != 0.0]
-            b.row(f"loss_cut({t})", coeffs, GE, -float(a_t @ b_mw @ a_t))
+            coeffs, rhs = [(loss_quad[t], 1.0)], 0.0
+            if on:
+                a_t = anchors[t]
+                grad = 2.0 * (b_mw @ a_t)
+                coeffs += [(p_total[i][t], -grad[i]) for i in range(n) if grad[i] != 0.0]
+                rhs = -float(a_t @ b_mw @ a_t)
+            b.row(f"loss_cut({t})", coeffs, GE, rhs)
     for t in range(t_count):
         if lossy:
             coeffs = [(p_total[i][t], 1.0 - b0[i]) for i in range(n)]
@@ -320,25 +323,29 @@ def _build(instance: SystemInstance, steps: int, anchors) -> tuple:
 
 def build_milp1(instance: SystemInstance, tangent_steps: int = DEFAULT_TANGENT_STEPS) -> tuple:
     """Lossless dispatch MILP.  Returns ``(model, varmap)``."""
-    return _build(instance, tangent_steps, anchors=None)
+    return _build(instance, tangent_steps, None, lossy=False)
 
 
-def build_milp2(instance: SystemInstance, tangent_steps: int, anchors) -> tuple:
+def build_milp2(instance: SystemInstance, tangent_steps: int, anchors=None) -> tuple:
     """Lossy dispatch MILP with one tangent-plane loss cut per period.
 
     ``anchors`` is a T x N matrix of outputs (MW) at which the quadratic loss
-    term is linearized.  Returns ``(model, varmap)``.
+    term is linearized.  None switches the loss terms off: ``qloss(t)`` is
+    fixed at 0, ``loss_cut(t)`` reads ``qloss(t) >= 0`` and ``balance(t)``
+    has no ``b0`` or ``b00`` terms, so the model solves MILP-1 in MILP-2's
+    layout.  Returns ``(model, varmap)``.
     """
     if instance.loss_model is None:
         raise ValidationError("instance has no loss model; use build_milp1 instead")
-    anchors = np.asarray(anchors, dtype=float)
-    if anchors.shape != (instance.n_periods, instance.n_units):
-        raise ValidationError(
-            f"anchors shape {anchors.shape} does not match "
-            f"({instance.n_periods}, {instance.n_units})")
-    if not np.all(np.isfinite(anchors)):
-        raise ValidationError("anchors contain non-finite entries")
-    return _build(instance, tangent_steps, anchors=anchors)
+    if anchors is not None:
+        anchors = np.asarray(anchors, dtype=float)
+        if anchors.shape != (instance.n_periods, instance.n_units):
+            raise ValidationError(
+                f"anchors shape {anchors.shape} does not match "
+                f"({instance.n_periods}, {instance.n_units})")
+        if not np.all(np.isfinite(anchors)):
+            raise ValidationError("anchors contain non-finite entries")
+    return _build(instance, tangent_steps, anchors, lossy=True)
 
 
 def lp_relaxation(model: MilpModel) -> MilpModel:

@@ -8,7 +8,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dedpoz import build_milp1, build_milp2, evaluate_cost, evaluate_violations, solve_milp
+from dedpoz import (ValidationError, build_milp1, build_milp2, evaluate_cost,
+                    evaluate_violations, solve_milp)
 from dedpoz.bnb import (
     FEASIBLE_TIME_LIMIT,
     MILP_INFEASIBLE,
@@ -126,6 +127,23 @@ def test_demand_inside_a_zone_is_infeasible():
     model, varmap = build_milp1(instance)
     sol = solve_milp(model, varmap)
     assert sol.status == MILP_INFEASIBLE
+
+
+@pytest.mark.parametrize("name, value", [
+    ("gap", float("nan")), ("gap", -1.0),
+    ("time_limit_s", float("nan")), ("time_limit_s", -1.0),
+    ("int_tol", float("nan")), ("int_tol", -1e-6),
+    ("node_limit", -1), ("node_limit", 2.0),
+])
+def test_config_rejects_bad_fields(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be"):
+        BnbConfig(**{name: value})
+
+
+def test_config_takes_no_limit_and_zero_limits():
+    for value in (None, 0):
+        config = BnbConfig(time_limit_s=value, node_limit=value)
+        assert config.time_limit_s == value and config.node_limit == value
 
 
 def test_node_limit_interrupts_search():
@@ -313,3 +331,22 @@ def test_root_basis_is_returned_without_its_kernel():
     sol = solve_milp(model, varmap)
     assert sol.root_basis is not None and sol.root_basis.kernel is None
     np.testing.assert_array_equal(sol.root_basis.basic_idx, root.basis.basic_idx)
+
+
+def test_loss_off_layout_solves_like_milp1():
+    # MILP-2 with no anchors is MILP-1 plus one fixed qloss column and one
+    # qloss row per period: the search must not notice them
+    rng = np.random.default_rng(1601)
+    branched = 0
+    for _ in range(5):
+        instance = random_lossy_instance(rng)
+        off, off_map = build_milp2(instance, 4, None)
+        m1, vm1 = build_milp1(instance, 4)
+        a, b = solve_milp(off, off_map), solve_milp(m1, vm1)
+        assert a.status == b.status == OPTIMAL_WITHIN_GAP
+        assert a.nodes_explored == b.nodes_explored
+        assert a.objective == pytest.approx(b.objective, rel=1e-9)
+        np.testing.assert_allclose(off_map.extract_schedule(a.values).p,
+                                   vm1.extract_schedule(b.values).p, rtol=0, atol=1e-9)
+        branched += a.nodes_explored > 1
+    assert branched >= 1

@@ -50,6 +50,8 @@ def test_config_validation():
             IaConfig(time_limit_s=bad)
     assert IaConfig(time_limit_s=None).time_limit_s is None
     assert IaConfig(time_limit_s=0).time_limit_s == 0
+    with pytest.raises(ValidationError, match="node_limit must be an int >= 0 or None"):
+        IaConfig(node_limit=-1)
 
 
 def test_midpoint_anchor():
@@ -183,9 +185,9 @@ def test_lossy_loop_converges_and_reports_iterations():
 def test_anchor_policy_replays_exactly():
     # pass 2 linearizes around the lossless dispatch; pass 3 around the
     # midpoint of the pass-1 and pass-2 dispatches.  The solver stack is
-    # deterministic, so replaying the first two passes by hand, with pass 2
-    # started from pass 1's root basis as the loop does, must reproduce the
-    # recorded anchors bit for bit.
+    # deterministic, so replaying the first two passes by hand, pass 1 on
+    # the loss-off layout and pass 2 started from pass 1's root basis as the
+    # loop does, must reproduce the recorded anchors bit for bit.
     rng = np.random.default_rng(47)
     instance = random_lossy_instance(rng)
     cfg = IaConfig(gap=1e-5)
@@ -195,14 +197,14 @@ def test_anchor_policy_replays_exactly():
 
     bnb = BnbConfig(gap=cfg.gap, time_limit_s=cfg.time_limit_s,
                     node_limit=cfg.node_limit)
-    m1, vm1 = build_milp1(instance, tangent_steps=cfg.tangent_steps)
+    m1, vm1 = build_milp2(instance, cfg.tangent_steps, None)
     s1 = solve_milp(m1, vm1, bnb)
     p1 = vm1.extract_schedule(s1.values).p
     np.testing.assert_array_equal(report.iterations[1].anchor, p1)
     if len(report.iterations) >= 3:
         m2, vm2 = build_milp2(instance, cfg.tangent_steps, p1)
-        warm = engine._carry_basis(s1.root_basis, m1, m2)
-        p2 = vm2.extract_schedule(solve_milp(m2, vm2, bnb, warm_start=warm).values).p
+        s2 = solve_milp(m2, vm2, bnb, warm_start=s1.root_basis)
+        p2 = vm2.extract_schedule(s2.values).p
         np.testing.assert_array_equal(report.iterations[2].anchor,
                                       midpoint_anchor(p1, p2))
 
@@ -212,9 +214,18 @@ def test_carried_bases_give_the_cold_passes_answers(monkeypatch):
     instances = [random_lossy_instance(rng) for _ in range(4)]
     cfg = IaConfig(gap=1e-5)
     carried = [solve_ded_with_loss(inst, cfg) for inst in instances]
-    monkeypatch.setattr(engine, "_carry_basis", lambda basis, old, new: None)
+    started_warm = []
+
+    def cold_solve(model, warm_start=None, **kwargs):
+        started_warm.append(warm_start is not None)
+        return solve_milp(model, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_milp", cold_solve)
     for inst, warm in zip(instances, carried):
+        started_warm.clear()
         cold = solve_ded_with_loss(inst, cfg)
+        # the loop hands every pass after the first its predecessor's basis
+        assert started_warm == [False] + [True] * (len(cold.iterations) - 1)
         assert warm.terminated_by == cold.terminated_by
         assert warm.chosen_k == cold.chosen_k
         assert len(warm.iterations) == len(cold.iterations)
@@ -223,25 +234,18 @@ def test_carried_bases_give_the_cold_passes_answers(monkeypatch):
         np.testing.assert_allclose(warm.schedule.p, cold.schedule.p, rtol=0, atol=1e-9)
 
 
-def lossy_pair(seed):
-    """MILP-1, the MILP-2 linearized at MILP-1's dispatch, and MILP-1's
-    root basis."""
-    instance = random_lossy_instance(np.random.default_rng(seed))
-    m1, vm1 = build_milp1(instance, tangent_steps=4)
+def test_mapped_basis_fits_milp2_and_saves_pivots(monkeypatch):
+    # the root basis of the loss-off layout, as it is, warm-starts the
+    # MILP-2 linearized at that layout's dispatch
+    instance = random_lossy_instance(np.random.default_rng(73))
+    m1, vm1 = build_milp2(instance, 4)
     s1 = solve_milp(m1, vm1, BnbConfig(gap=1e-5))
     m2, _ = build_milp2(instance, 4, vm1.extract_schedule(s1.values).p)
-    return m1, m2, s1.root_basis
-
-
-def test_mapped_basis_fits_milp2_and_saves_pivots(monkeypatch):
-    m1, m2, basis = lossy_pair(73)
-    warm = engine._carry_basis(basis, m1, m2)
+    warm = s1.root_basis
     m, ncols = m2.n_constraints, m2.n_variables + m2.n_constraints
     assert warm.basic_idx.shape == (m,) and warm.status.shape == (ncols,)
     assert np.unique(warm.basic_idx).size == m
     assert np.all((warm.basic_idx >= 0) & (warm.basic_idx < ncols))
-    qloss = [j for j, v in enumerate(m2.variables) if v.name.startswith("qloss")]
-    assert set(qloss) <= set(warm.basic_idx.tolist())
 
     cold = PreparedLp(lp_relaxation(m2)).solve()
 
@@ -253,16 +257,6 @@ def test_mapped_basis_fits_milp2_and_saves_pivots(monkeypatch):
     assert cold.status == carried.status == OPTIMAL
     assert carried.objective == pytest.approx(cold.objective, rel=1e-9)
     assert carried.pivots < cold.pivots
-
-
-def test_basis_that_does_not_fit_is_dropped():
-    m1, m2, basis = lossy_pair(73)
-    # one more structural column than MILP-1 and no new row to pay for it
-    extra = dataclasses.replace(m1, variables=m1.variables + m2.variables[-1:])
-    assert engine._carry_basis(basis, m1, extra) is None
-    same = engine._carry_basis(basis, m1, m1)
-    np.testing.assert_array_equal(same.basic_idx, basis.basic_idx)
-    np.testing.assert_array_equal(same.status, basis.status)
 
 
 def test_exhausted_iterations_fall_back_to_best_pass():
@@ -344,6 +338,23 @@ def test_paper_scale_fixture_meets_the_highs_optimum():
                                tol=1e-6).feasible
     assert (abs(report.surrogate_objective - DED_10X24_HIGHS_OBJECTIVE)
             <= config.gap * DED_10X24_HIGHS_OBJECTIVE)
+
+
+# answers of the refinement loop on tests/fixtures/lossy_refine_l0_seed11.json
+# with IaConfig(), recorded before pass 1 moved onto the loss-off MILP-2 layout
+LOSSY_FIXTURE_COST = 2293.132028777939
+LOSSY_FIXTURE_SURROGATE = 2293.1275727973543
+
+
+def test_lossy_fixture_keeps_its_answers():
+    instance = load_instance(Path(__file__).parent / "fixtures"
+                             / "lossy_refine_l0_seed11.json")
+    report = solve_ded_with_loss(instance, IaConfig())
+    assert report.terminated_by == "epsilon"
+    assert report.chosen_k == 3
+    assert len(report.iterations) == 3
+    assert report.cost == pytest.approx(LOSSY_FIXTURE_COST, rel=1e-6)
+    assert report.surrogate_objective == pytest.approx(LOSSY_FIXTURE_SURROGATE, rel=1e-6)
 
 
 def assert_agrees_with_grid_dp(fixture):

@@ -203,6 +203,23 @@ def test_build_milp2_rows_and_validation():
             assert bal[varmap.p_total[i][t]] == pytest.approx(1.0 - lm.b0[i])
         assert bal[varmap.loss_quad[t]] == -1.0
 
+    # no anchors: the same layout with the loss terms switched off
+    off, off_map = build_milp2(instance, STEPS)
+    assert ([(v.name, v.kind) for v in off.variables]
+            == [(v.name, v.kind) for v in model.variables])
+    assert ([(c.name, c.sense) for c in off.constraints]
+            == [(c.name, c.sense) for c in model.constraints])
+    off_rows = {c.name: c for c in off.constraints}
+    for t in range(2):
+        q = off_map.loss_quad[t]
+        assert (off.variables[q].lb, off.variables[q].ub) == (0.0, 0.0)
+        cut = off_rows[f"loss_cut({t})"]
+        assert dict(cut.coeffs) == {q: 1.0} and cut.rhs == 0.0
+        balance = off_rows[f"balance({t})"]
+        assert dict(balance.coeffs) == {off_map.p_total[0][t]: 1.0,
+                                        off_map.p_total[1][t]: 1.0, q: -1.0}
+        assert balance.rhs == instance.demand[t]
+
 
 def test_lp_relaxation_drops_binaries():
     model, _ = build_milp1(_instance(), tangent_steps=STEPS)
