@@ -4,9 +4,11 @@ Node selection is best-bound with one depth-first plunge after each incumbent
 improvement.  Branching fixes the single most fractional binary (ties broken
 by lowest variable index, which the model builders lay out in unit, period,
 segment order).  Child LPs restart from the parent's basis via dual simplex,
-reusing the kernel inverse it was returned with, and the root LP from the
-caller's basis when one is given; the root LP's final basis comes back on
-the solution.
+reusing the kernel inverse it was returned with, rank-1 updates and all,
+and the root LP from the caller's basis when one is given; the root LP's
+final basis comes back on the solution.  The caller may also hand in the
+prepared LP, so that a sequence of searches on edited copies of one model
+keeps the working rows the earlier ones found.
 A point becomes the incumbent only if it meets every model row and bound,
 rows the LP left out of its working set included.  The search is
 deterministic: identical inputs explore identical trees.
@@ -114,13 +116,17 @@ def _meets_model(prep, values, lo0, hi0) -> bool:
 
 
 def solve_milp(model: MilpModel, varmap: VarMap | None = None,
-               config: BnbConfig | None = None, warm_start=None) -> MilpSolution:
+               config: BnbConfig | None = None, warm_start=None, *,
+               prepared: PreparedLp | None = None) -> MilpSolution:
     """Minimize a MILP with binary variables by LP-based branch and bound.
 
     ``varmap`` enables the segment-rounding incumbent heuristic; pass None
     for a generic model.  ``warm_start`` is a model-shape ``Basis`` for the
     root LP; the root LP's optimal basis is returned as ``root_basis``, without
     the kernel inverse that only this search's own LP can use.
+    ``prepared`` is ``PreparedLp(lp_relaxation(model))``, or one edited to
+    match it, made by the caller so that its working rows carry over from
+    one search to the next; None prepares the model here.
 
     A search that a limit stops before any incumbent returns status
     ``infeasible`` with ``limit_hit`` True; only ``limit_hit`` False makes
@@ -130,7 +136,14 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
     start = time.perf_counter()
     bin_idx = np.array([j for j, v in enumerate(model.variables) if v.kind == BINARY],
                        dtype=int)
-    prep = PreparedLp(lp_relaxation(model))
+    if prepared is None:
+        prep = PreparedLp(lp_relaxation(model))
+    elif (prepared.n_struct, prepared.m) != (model.n_variables, model.n_constraints):
+        raise ValidationError(
+            f"prepared model has {prepared.n_struct} columns and {prepared.m} rows, "
+            f"the model {model.n_variables} and {model.n_constraints}")
+    else:
+        prep = prepared
     lo0 = np.array([v.lb for v in model.variables], dtype=float)
     hi0 = np.array([v.ub for v in model.variables], dtype=float)
 

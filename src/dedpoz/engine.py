@@ -4,10 +4,12 @@ Two entry points: a single-shot solve for lossless systems, and an
 anchor-refinement loop for systems with a quadratic network-loss model.  The
 loop alternates between solving a linearized problem and re-anchoring the
 loss cut at a blend of the last two dispatches until the power balance checks
-out against the true loss at every period.  Every pass is built in one
-layout, MILP-2's, with the loss terms switched off in pass 1, so each pass's
-root LP starts from the previous pass's root basis as it is, and only the
-first pass starts cold.
+out against the true loss at every period.  Every pass is one model in
+MILP-2's layout, with the loss terms switched off in pass 1: it is built and
+prepared once, and each later pass rewrites the prepared LP's loss-cut and
+balance rows and loss bounds in place, so the LP rows found in earlier
+passes stay.  Each pass's root LP starts from the previous pass's root
+basis as it is, and only the first pass starts cold.
 """
 
 import dataclasses
@@ -17,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bnb import MILP_INFEASIBLE, BnbConfig, MilpSolution, solve_milp
-from .milp import build_milp1, build_milp2
+from .milp import _reanchor, build_milp1, build_milp2, lp_relaxation
+from .simplex import PreparedLp
 from .system import (FeasibilityReport, Schedule, SystemInstance,
                      evaluate_cost, evaluate_violations)
 from .errors import InfeasibleError, SolveLimitError, ValidationError
@@ -104,11 +107,12 @@ def _diagnose_infeasibility(instance: SystemInstance) -> str | None:
     return None
 
 
-def _run_milp(model, varmap, config: IaConfig, what: str, warm_start=None):
+def _run_milp(model, varmap, config: IaConfig, what: str, warm_start=None, prepared=None):
     """Solve one MILP.  Returns ``(solution, root basis, seconds)``; the
     solution does not keep the basis, so reports do not either."""
     started = time.perf_counter()
-    sol = solve_milp(model, varmap=varmap, warm_start=warm_start, config=config._bnb())
+    sol = solve_milp(model, varmap=varmap, warm_start=warm_start, config=config._bnb(),
+                     prepared=prepared)
     elapsed = time.perf_counter() - started
     if sol.status == MILP_INFEASIBLE:
         if sol.limit_hit:
@@ -160,13 +164,17 @@ def solve_ded_with_loss(instance: SystemInstance,
 
     iterations: list[IaIteration] = []
     passes = []  # (k, schedule, MILP solution, audit) per pass
+    model, varmap = build_milp2(instance, config.tangent_steps, None)
+    prep = PreparedLp(lp_relaxation(model))
     basis = None
 
     def run_pass(k, anchor):
-        nonlocal basis
-        model, varmap = build_milp2(instance, config.tangent_steps, anchor)
+        nonlocal model, basis
+        if anchor is not None:
+            model, rows = _reanchor(model, varmap, instance, anchor)
+            prep._edit(model, rows, varmap.loss_quad)
         sol, basis, elapsed = _run_milp(
-            model, varmap, config, f"pass {k}" if k > 1 else "pass 1 (lossless)", basis)
+            model, varmap, config, f"pass {k}" if k > 1 else "pass 1 (lossless)", basis, prep)
         sched = varmap.extract_schedule(sol.values)
         audit = evaluate_violations(instance, sched, use_loss=True)
         iterations.append(IaIteration(

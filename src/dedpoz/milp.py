@@ -239,14 +239,8 @@ def _build(instance: SystemInstance, steps: int, anchors, lossy: bool) -> tuple:
 
     loss_quad = None
     if lossy:
-        on = anchors is not None  # off: no loss terms, and qloss(t) fixed at 0
-        lm = instance.loss_model
-        base = lm.base_mva
-        b_mw = lm.b_matrix / base        # quadratic loss coefficients in 1/MW
-        b0 = np.asarray(lm.b0) if on else np.zeros(n)  # dimensionless in the MW balance
-        b00_mw = lm.b00 * base if on else 0.0
-        bounds = (-np.inf, np.inf) if on else (0.0, 0.0)
-        loss_quad = tuple(b.var(f"qloss({t})", CONTINUOUS, *bounds) for t in range(t_count))
+        loss_quad = tuple(b.var(f"qloss({t})", CONTINUOUS, *_qloss_bounds(anchors))
+                          for t in range(t_count))
 
     # rows, in dump order: POZ, linking, selection, cuts, balance, ramp, reserve
     for i in range(n):
@@ -274,20 +268,10 @@ def _build(instance: SystemInstance, steps: int, anchors, lossy: bool) -> tuple:
                            (u_seg[i][t][j], -coef_u)], GE, 0.0,
                           lazy=0 < ell < plan.steps)
     if lossy:
+        for row in _loss_rows(instance, p_total, loss_quad, anchors):
+            b.row(*row)
+    else:
         for t in range(t_count):
-            coeffs, rhs = [(loss_quad[t], 1.0)], 0.0
-            if on:
-                a_t = anchors[t]
-                grad = 2.0 * (b_mw @ a_t)
-                coeffs += [(p_total[i][t], -grad[i]) for i in range(n) if grad[i] != 0.0]
-                rhs = -float(a_t @ b_mw @ a_t)
-            b.row(f"loss_cut({t})", coeffs, GE, rhs)
-    for t in range(t_count):
-        if lossy:
-            coeffs = [(p_total[i][t], 1.0 - b0[i]) for i in range(n)]
-            coeffs.append((loss_quad[t], -1.0))
-            b.row(f"balance({t})", coeffs, EQ, instance.demand[t] + b00_mw)
-        else:
             b.row(f"balance({t})", [(p_total[i][t], 1.0) for i in range(n)],
                   EQ, instance.demand[t])
     for i, unit in enumerate(instance.units):
@@ -321,6 +305,37 @@ def _build(instance: SystemInstance, steps: int, anchors, lossy: bool) -> tuple:
     return b.build(), varmap
 
 
+def _qloss_bounds(anchors) -> tuple:
+    """Bounds of each ``qloss(t)``: free, or fixed at 0 with the loss off."""
+    return (-np.inf, np.inf) if anchors is not None else (0.0, 0.0)
+
+
+def _loss_rows(instance: SystemInstance, p_total, loss_quad, anchors) -> list:
+    """MILP-2's ``loss_cut(t)`` rows, then its ``balance(t)`` rows, as
+    ``(name, coeffs, sense, rhs)``: the loss linearized at ``anchors``, or
+    switched off when they are None."""
+    n, t_count = instance.n_units, instance.n_periods
+    on = anchors is not None
+    lm = instance.loss_model
+    b_mw = lm.b_matrix / lm.base_mva  # quadratic loss coefficients in 1/MW
+    b0 = np.asarray(lm.b0) if on else np.zeros(n)  # dimensionless in the MW balance
+    b00_mw = lm.b00 * lm.base_mva if on else 0.0
+    rows = []
+    for t in range(t_count):
+        coeffs, rhs = [(loss_quad[t], 1.0)], 0.0
+        if on:
+            a_t = anchors[t]
+            grad = 2.0 * (b_mw @ a_t)
+            coeffs += [(p_total[i][t], -grad[i]) for i in range(n) if grad[i] != 0.0]
+            rhs = -float(a_t @ b_mw @ a_t)
+        rows.append((f"loss_cut({t})", coeffs, GE, rhs))
+    for t in range(t_count):
+        coeffs = [(p_total[i][t], 1.0 - b0[i]) for i in range(n)]
+        coeffs.append((loss_quad[t], -1.0))
+        rows.append((f"balance({t})", coeffs, EQ, instance.demand[t] + b00_mw))
+    return rows
+
+
 def build_milp1(instance: SystemInstance, tangent_steps: int = DEFAULT_TANGENT_STEPS) -> tuple:
     """Lossless dispatch MILP.  Returns ``(model, varmap)``."""
     return _build(instance, tangent_steps, None, lossy=False)
@@ -337,15 +352,41 @@ def build_milp2(instance: SystemInstance, tangent_steps: int, anchors=None) -> t
     """
     if instance.loss_model is None:
         raise ValidationError("instance has no loss model; use build_milp1 instead")
-    if anchors is not None:
-        anchors = np.asarray(anchors, dtype=float)
-        if anchors.shape != (instance.n_periods, instance.n_units):
-            raise ValidationError(
-                f"anchors shape {anchors.shape} does not match "
-                f"({instance.n_periods}, {instance.n_units})")
-        if not np.all(np.isfinite(anchors)):
-            raise ValidationError("anchors contain non-finite entries")
-    return _build(instance, tangent_steps, anchors, lossy=True)
+    return _build(instance, tangent_steps, _checked_anchors(instance, anchors), lossy=True)
+
+
+def _checked_anchors(instance: SystemInstance, anchors):
+    if anchors is None:
+        return None
+    anchors = np.asarray(anchors, dtype=float)
+    if anchors.shape != (instance.n_periods, instance.n_units):
+        raise ValidationError(
+            f"anchors shape {anchors.shape} does not match "
+            f"({instance.n_periods}, {instance.n_units})")
+    if not np.all(np.isfinite(anchors)):
+        raise ValidationError("anchors contain non-finite entries")
+    return anchors
+
+
+def _reanchor(model: MilpModel, varmap: VarMap, instance: SystemInstance, anchors) -> tuple:
+    """The ``build_milp2`` model of ``instance`` at ``anchors``, made from
+    ``model``, one built by ``build_milp2`` with ``varmap``, by rebuilding
+    only its ``loss_cut(t)`` and ``balance(t)`` rows and ``qloss(t)``
+    bounds.  Returns ``(model, rows)``, ``rows`` the indices of the rebuilt
+    rows."""
+    anchors = _checked_anchors(instance, anchors)
+    b = _ModelBuilder()
+    for row in _loss_rows(instance, varmap.p_total, varmap.loss_quad, anchors):
+        b.row(*row)
+    first = next(r for r, con in enumerate(model.constraints) if con.name == "loss_cut(0)")
+    rows = np.arange(first, first + len(b.constraints))
+    constraints = list(model.constraints)
+    constraints[first:first + rows.size] = b.constraints
+    variables = list(model.variables)
+    for j in varmap.loss_quad:
+        variables[j] = Variable(variables[j].name, CONTINUOUS, *_qloss_bounds(anchors))
+    return MilpModel(tuple(variables), tuple(constraints), model.objective,
+                     model.objective_constant), rows
 
 
 def lp_relaxation(model: MilpModel) -> MilpModel:

@@ -29,10 +29,10 @@ Revised simplex with an explicit basis inverse.  Design points:
   factors the supplied basis, which may come from a model whose bounds,
   coefficients or rhs differ (a branch-and-bound child, the next pass of
   the loss loop); re-solving an already-optimal basis costs zero pivots.
-  A basis returned by a run that ended on a fresh factorization carries
-  its kernel inverse, and a warm start on the same prepared model (a
+  A returned basis carries its kernel inverse, read off the inverse the
+  run ended with, and a warm start on the same prepared model (a
   branch-and-bound child, the rounding heuristic) builds its inverse from
-  that kernel without inverting it again.
+  that kernel without inverting it again; so do rows that join a run.
   Either way, a boxed nonbasic column that prices with the wrong sign
   moves to its other bound, and any other one has its cost shifted by
   minus its reduced cost for the dual phase (cost shifting); the primal
@@ -52,15 +52,17 @@ Revised simplex with an explicit basis inverse.  Design points:
   (both are sparse on dispatch models);
 * the iterate and reduced costs are updated per pivot and recomputed from
   scratch at every refactorization, at the latest ``REFACTOR_EVERY``
-  pivots after the last one;
-* one rule reads every verdict (optimal, infeasible, unbounded): one
-  reached after pivots is read again, by factoring the basis afresh and
-  going back through the dual start, which also rechecks the sign of the
-  reduced costs; it stands only once a run from a fresh factorization
-  reaches it without a pivot.  An optimum must then also meet its bounds
-  at the recomputed iterate, else the dual start repairs it (twice at
-  most, or it is not reported optimal).  ``iteration_limit`` is never
-  read again, and a basis that fails to factor ends the solve with it.
+  rank-1 updates after the last inversion, counted along a chain of warm
+  starts that reuse a kernel;
+* one rule reads every verdict (optimal, infeasible, unbounded): it stands
+  once it checks against the working rows at the inverse the run holds.
+  An optimum's recomputed iterate meets its bounds and rows and its
+  recomputed reduced costs have the right sign; an infeasible verdict's
+  row of B^-1 is a Farkas certificate; an unbounded one's ray is
+  unblocked.  A verdict that fails its check has the basis factored
+  afresh and goes back through the dual start, ``RECHECKS`` times at
+  most before ``iteration_limit``.  ``iteration_limit`` is never checked,
+  and a basis that fails to factor ends the solve with it.
 """
 
 from dataclasses import dataclass, field
@@ -82,6 +84,7 @@ HARRIS_TOL = 1e-9
 DEGEN_STEP = 1e-10
 BLAND_AFTER = 1000
 REFACTOR_EVERY = 400
+RECHECKS = 2
 DEFAULT_MAX_ITERS = 50_000
 
 BASIC, AT_LOWER, AT_UPPER, FREE_ZERO = 0, 1, 2, 3
@@ -92,8 +95,10 @@ class Basis:
     """Restart information: basic column indices plus a status code per column.
 
     ``kernel`` is ``(model token, structural basic columns in position
-    order, kernel model rows, kernel inverse)`` when the run that returned
-    the basis ended on a fresh factorization."""
+    order, kernel model rows, kernel inverse, rank-1 updates)``: the inverse
+    of the basis's structural block, read off the inverse the run ended
+    with, and the count of updates that inverse took since the kernel was
+    last inverted.  None if the run ended with no inverse."""
 
     basic_idx: np.ndarray
     status: np.ndarray
@@ -200,19 +205,33 @@ class PreparedLp(_Form):
                                   "(see lp_relaxation)")
         n = len(model.variables)
         m = len(model.constraints)
-        rows, cols, vals = [], [], []
-        b = np.zeros(m)
-        senses = []
+        self.n_struct = n
+        self.m = m
+        self.ncols = n + m
+        rows, cols, vals = _entries(model.constraints, range(m))
+        self.lo_template = np.empty(self.ncols)
+        self.hi_template = np.empty(self.ncols)
+        self.lo_template[:n] = [v.lb for v in model.variables]
+        self.hi_template[:n] = [v.ub for v in model.variables]
         for r, con in enumerate(model.constraints):
-            for j, coef in con.coeffs:
-                rows.append(r)
-                cols.append(j)
-                vals.append(coef)
-            b[r] = con.rhs
-            senses.append(con.sense)
-        rows = np.array(rows, dtype=np.int64)
-        cols = np.array(cols, dtype=np.int64)
-        vals = np.array(vals, dtype=float)
+            self.lo_template[n + r] = -np.inf if con.sense == GE else 0.0
+            self.hi_template[n + r] = np.inf if con.sense == LE else 0.0
+        self._set_rows(rows, cols, vals, np.array([con.rhs for con in model.constraints],
+                                                  dtype=float))
+        c = np.zeros(self.ncols)
+        for j, coef in model.objective:
+            c[j] += coef
+        self.c = c
+        self.constant = model.objective_constant
+        self.active = np.array([not con.lazy for con in model.constraints], dtype=bool)
+        self._work = None
+        self.token = object()  # names this model's scaled matrix in a basis kernel
+
+    def _set_rows(self, rows, cols, vals, b):
+        """Coalesce, scale and index the entries ``(rows, cols, vals)`` of
+        the rows with rhs ``b``, which are then the model's."""
+        n, m = self.n_struct, self.m
+        self._raw = (rows, cols, vals, b)
         scale = np.ones(m)
         if rows.size:
             # coalesce duplicate (row, col) entries so downstream scatter
@@ -233,7 +252,6 @@ class PreparedLp(_Form):
             row_min[nonempty] = np.minimum.reduceat(mag, starts[nonempty])
             scale = np.clip(np.sqrt(row_max * row_min), 1e-8, 1e8)
             vals = vals / scale[rows]
-        b /= scale
 
         csc = np.lexsort((rows, cols))
         self.col_rows = rows[csc]
@@ -243,40 +261,35 @@ class PreparedLp(_Form):
         self.rows_nz = rows
         self.cols_nz = cols
         self.vals_nz = vals
-
-        self.b = b
+        self.b = b / scale
         self.row_scale = scale
-        self.n_struct = n
-        self.m = m
-        self.ncols = n + m
-
-        lo = np.empty(self.ncols)
-        hi = np.empty(self.ncols)
-        lo[:n] = [v.lb for v in model.variables]
-        hi[:n] = [v.ub for v in model.variables]
-        for r, sense in enumerate(senses):
-            if sense == LE:
-                lo[n + r], hi[n + r] = 0.0, np.inf
-            elif sense == GE:
-                lo[n + r], hi[n + r] = -np.inf, 0.0
-            else:
-                lo[n + r], hi[n + r] = 0.0, 0.0
-        self.lo_template = lo
-        self.hi_template = hi
-
-        c = np.zeros(self.ncols)
-        for j, coef in model.objective:
-            c[j] += coef
-        self.c = c
-        self.constant = model.objective_constant
         norm_sq = (np.bincount(cols, weights=vals * vals, minlength=n)
                    if rows.size else np.zeros(n))
         self.col_scale = np.empty(self.ncols)
         self.col_scale[:n] = 1.0 + np.sqrt(norm_sq)
         self.col_scale[n:] = 2.0
-        self.active = np.array([not con.lazy for con in model.constraints], dtype=bool)
+
+    def _edit(self, model: MilpModel, rows, cols):
+        """Take the coefficients and rhs of the rows ``rows`` and the bounds
+        of the columns ``cols`` from ``model``, a model of this one's shape
+        that matches it elsewhere, senses and lazy marks included, as a
+        fresh ``PreparedLp(model)`` would; the working rows stay, and
+        kernels of the old rows no longer fit."""
+        if (len(model.variables), len(model.constraints)) != (self.n_struct, self.m):
+            raise ValidationError("the edit's model has another shape")
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        old_rows, old_cols, old_vals, b = self._raw
+        keep = ~np.isin(old_rows, rows)
+        new_rows, new_cols, new_vals = _entries(model.constraints, rows)
+        b = b.copy()
+        b[rows] = [model.constraints[r].rhs for r in rows]
+        self._set_rows(np.concatenate([old_rows[keep], new_rows]),
+                       np.concatenate([old_cols[keep], new_cols]),
+                       np.concatenate([old_vals[keep], new_vals]), b)
+        self.lo_template[cols] = [model.variables[j].lb for j in cols]
+        self.hi_template[cols] = [model.variables[j].ub for j in cols]
         self._work = None
-        self.token = object()  # names this model's scaled matrix in a basis kernel
+        self.token = object()
 
     def row_violation(self, values: np.ndarray) -> np.ndarray:
         """How far each model row is from holding at the structural point
@@ -343,9 +356,8 @@ class PreparedLp(_Form):
         return work, Basis(basic[basic >= 0], status[work.full_col], warm.kernel)
 
     def _model_basis(self, run) -> Basis:
-        """The run's basis in model shape: a row left out holds its slack
-        basic at its own position.  Only a fresh factorization's kernel
-        comes along."""
+        """The run's basis in model shape, with its kernel: a row left out
+        holds its slack basic at its own position."""
         work = run.prep
         n, m = self.n_struct, self.m
         basic = n + np.arange(m)
@@ -353,8 +365,7 @@ class PreparedLp(_Form):
         status = np.full(self.ncols, AT_LOWER, dtype=np.int8)
         status[n:n + m] = BASIC
         status[work.full_col] = run.status
-        fresh = run.b_inv is not None and run.since_refactor == 0
-        return Basis(basic, status, run.kernel if fresh else None)
+        return Basis(basic, status, run._kernel())
 
     def _solution(self, run, status) -> LpSolution:
         work, x = run.prep, run.x
@@ -373,6 +384,19 @@ class PreparedLp(_Form):
             objective = -np.inf
         return LpSolution(status, values, objective, duals, self._model_basis(run),
                           run.pivots, run.iters, resid)
+
+
+def _entries(constraints, rows) -> tuple:
+    """The coordinate arrays ``(rows, cols, vals)`` of ``constraints[r]``
+    for each r in ``rows``, in that order."""
+    r_idx, c_idx, vals = [], [], []
+    for r in rows:
+        for j, coef in constraints[r].coeffs:
+            r_idx.append(r)
+            c_idx.append(j)
+            vals.append(coef)
+    return (np.array(r_idx, dtype=np.int64), np.array(c_idx, dtype=np.int64),
+            np.array(vals, dtype=float))
 
 
 def solve_lp(model: MilpModel, warm_start: Basis | None = None,
@@ -404,7 +428,8 @@ class _Run:
         self.warm = warm_start
         self.status = np.empty(prep.ncols, dtype=np.int8)
         self.basic = np.empty(prep.m, dtype=np.int64)
-        self.b_inv = self.kernel = None  # None while the basis is not factored
+        self.b_inv = None  # None while the basis is not factored
+        self.proof = None  # what the last infeasible or unbounded verdict rests on
         self.x = np.zeros(prep.ncols)
         self.d = np.zeros(prep.ncols)
         self.pivots = 0
@@ -415,6 +440,20 @@ class _Run:
 
     # ----- state helpers ---------------------------------------------------
 
+    def _blocks(self):
+        """``(s_pos, u_pos, ru, k_rows)``: the structural and the slack
+        (unit column) basic positions, the rows the slacks cover and the
+        rest, the kernel rows; None if a row is covered twice, which makes
+        the basis singular."""
+        unit = self.basic >= self.prep.n_struct
+        u_pos = np.flatnonzero(unit)
+        ru = self.basic[u_pos] - self.prep.n_struct
+        covered = np.zeros(self.prep.m, dtype=bool)
+        covered[ru] = True
+        if np.count_nonzero(covered) != ru.size:
+            return None
+        return np.flatnonzero(~unit), u_pos, ru, np.flatnonzero(~covered)
+
     def _factor(self, known=None) -> bool:
         """Invert the basis through its structural kernel; False, with no
         inverse held, if the basis is singular.
@@ -423,26 +462,21 @@ class _Run:
         columns), ``ru`` the rows U covers and K the rest, the inverse is
         A[K,S]^-1 on (S,K), -A[ru,S] A[K,S]^-1 on (U,K), the identity on
         (U,ru) and zero elsewhere.  A ``known`` kernel (see ``Basis``) of
-        this model, the same columns and the same rows is A[K,S]^-1
-        already: a model's scaled matrix never changes.
+        this model, the same columns and the same rows stands for A[K,S]^-1,
+        with the rank-1 updates it has taken since its last inversion.
         """
         prep = self.prep
-        n, m = prep.n_struct, prep.m
-        self.b_inv = self.kernel = None  # hold one inverse at a time, not two
-        unit = self.basic >= n
-        s_pos = np.flatnonzero(~unit)
-        u_pos = np.flatnonzero(unit)
-        ru = self.basic[u_pos] - n
-        covered = np.zeros(m, dtype=bool)
-        covered[ru] = True
-        if np.count_nonzero(covered) != ru.size:
-            return False  # a row covered twice: the basis is singular
-        k_rows = np.flatnonzero(~covered)
+        m = prep.m
+        b_inv, self.b_inv = self.b_inv, None  # refilled in place if its shape holds
+        blocks = self._blocks()
+        if blocks is None:
+            return False
+        s_pos, u_pos, ru, k_rows = blocks
         s_cols, k_model = self.basic[s_pos], prep.rows[k_rows]
         cols = prep.structural_columns(s_cols)
         if (known is not None and known[0] is prep.token
                 and np.array_equal(known[1], s_cols) and np.array_equal(known[2], k_model)):
-            kernel_inv = known[3]
+            kernel_inv, updates = known[3], known[4]
         else:
             try:
                 kernel_inv = np.linalg.inv(cols[k_rows])
@@ -450,23 +484,35 @@ class _Run:
                 return False
             if not np.all(np.isfinite(kernel_inv)):
                 return False
-        block = np.empty((m, k_rows.size))  # the columns of B^-1 on K
-        block[s_pos] = kernel_inv
-        block[u_pos] = -(cols[ru] @ kernel_inv)
-        b_inv = np.zeros((m, m))
-        b_inv[:, k_rows] = block
+            updates = 0
+        on_u = -(cols[ru] @ kernel_inv)
+        del cols  # fewer m-row arrays alive beside the new inverse
+        if b_inv is None or b_inv.shape != (m, m):
+            b_inv = np.zeros((m, m))
+        else:
+            b_inv.fill(0.0)
+        b_inv[s_pos[:, None], k_rows] = kernel_inv
+        b_inv[u_pos[:, None], k_rows] = on_u
         b_inv[u_pos, ru] = 1.0
         self.b_inv = b_inv
-        self.kernel = (prep.token, s_cols, k_model, kernel_inv)
-        self.since_refactor = 0
+        self.since_refactor = updates
         return True
+
+    def _kernel(self):
+        """The basis's kernel (see ``Basis``) read off the inverse held, or
+        None while the basis is not factored."""
+        if self.b_inv is None:
+            return None
+        s_pos, _, _, k_rows = self._blocks()
+        return (self.prep.token, self.basic[s_pos], self.prep.rows[k_rows],
+                self.b_inv[s_pos[:, None], k_rows], self.since_refactor)
 
     def _update_b_inv(self, w, r):
         # the entries skipped here would subtract an exact zero
         row = self.b_inv[r] / w[r]
         rows = np.flatnonzero(w)
         cols = np.flatnonzero(row)
-        self.b_inv[np.ix_(rows, cols)] -= np.multiply.outer(w[rows], row[cols])
+        self.b_inv[rows[:, None], cols] -= np.multiply.outer(w[rows], row[cols])
         self.b_inv[r] = row
         self.since_refactor += 1
 
@@ -492,6 +538,13 @@ class _Run:
             return False
         self._refresh(c)
         return True
+
+    def _entering(self, d, movable):
+        """The columns that reduced costs ``d`` let improve the objective,
+        by increasing and by decreasing; basic columns are never among them."""
+        status = self.status
+        return (movable & (d < -DUAL_TOL) & ((status == AT_LOWER) | (status == FREE_ZERO)),
+                movable & (d > DUAL_TOL) & ((status == AT_UPPER) | (status == FREE_ZERO)))
 
     def _w_col(self, q) -> np.ndarray:
         """Basis-transformed column B^-1 a_q."""
@@ -634,10 +687,11 @@ class _Run:
         self.status[up & boxed] = AT_UPPER
         self.status[down & boxed] = AT_LOWER
         shifted = (up | down) & ~boxed
+        pivots = self.pivots
         status = self._dual(c + np.where(shifted, -d, 0.0))
         if status != OPTIMAL:
             return status  # a row that proves infeasibility does so at any costs
-        if self.since_refactor > 0 or shifted.any():
+        if self.pivots > pivots or shifted.any():
             # back to the true costs; otherwise the dual phase read x and d
             # on them and has not pivoted since
             self._refresh(c)
@@ -655,11 +709,7 @@ class _Run:
             if self.since_refactor >= REFACTOR_EVERY and not self._refactor(c):
                 return ITERATION_LIMIT
             x, d = self.x, self.d
-            nb = self.status != BASIC
-            elig_inc = (nb & movable & (d < -DUAL_TOL)
-                        & ((self.status == AT_LOWER) | (self.status == FREE_ZERO)))
-            elig_dec = (nb & movable & (d > DUAL_TOL)
-                        & ((self.status == AT_UPPER) | (self.status == FREE_ZERO)))
+            elig_inc, elig_dec = self._entering(d, movable)
             elig = elig_inc | elig_dec
             if not elig.any():
                 return OPTIMAL
@@ -681,6 +731,7 @@ class _Run:
             theta_basic = float(ratios.min()) if m else np.inf
             span = self.hi[q] - self.lo[q]
             if not np.isfinite(min(theta_basic, span)):
+                self.proof = (q, s)
                 return UNBOUNDED
             self.iters += 1
             if span <= theta_basic:
@@ -729,20 +780,20 @@ class _Run:
                 r = int(np.argmax(viol))
             is_below = below[r] >= above[r]
             alpha = self._alpha_row(self.b_inv[r].copy())
-            nb = self.status != BASIC
             if is_below:
-                elig = nb & movable & (
+                elig = movable & (
                     ((self.status == AT_LOWER) & (alpha < -PIVOT_TOL))
                     | ((self.status == AT_UPPER) & (alpha > PIVOT_TOL))
                     | ((self.status == FREE_ZERO) & (np.abs(alpha) > PIVOT_TOL)))
                 denom = -alpha
             else:
-                elig = nb & movable & (
+                elig = movable & (
                     ((self.status == AT_LOWER) & (alpha > PIVOT_TOL))
                     | ((self.status == AT_UPPER) & (alpha < -PIVOT_TOL))
                     | ((self.status == FREE_ZERO) & (np.abs(alpha) > PIVOT_TOL)))
                 denom = alpha
             if not elig.any():
+                self.proof = r
                 return INFEASIBLE
             ratios = np.full(prep.ncols, np.inf)
             ratios[elig] = np.maximum(d[elig] / denom[elig], 0.0)
@@ -763,43 +814,75 @@ class _Run:
     # ----- driver ----------------------------------------------------------
 
     def solve(self) -> str:
-        """Run to a final status.  A verdict reached after pivots is not
-        final: rows left out join first (those the iterate breaks at an
-        optimum, all of them when unbounded); either way the basis is
-        factored again and the run goes back through the dual start, which
-        reads the reduced costs afresh.  A verdict stands only when a run
-        from a fresh factorization reaches it without a pivot; ``x`` is
-        then recomputed, and an optimum must also meet its bounds (two
-        repairs at most) and break no row left out.  ITERATION_LIMIT is
-        never re-run, and a basis that fails to factor ends the run at once
-        with it."""
-        start = self._warm if self.warm is not None else self._cold
-        status = start(self.prep.c)
-        repairs = 0
-        while True:
-            fresh = self.since_refactor == 0
-            if fresh and status != ITERATION_LIMIT:
-                self.x = self._compute_x()
-                # the updated iterate can drift from the one the basis
-                # defines; an optimum is checked at the recomputed one
-                xb = self.x[self.basic]
-                if status == OPTIMAL and not np.all((xb >= self.lo[self.basic] - FEAS_TOL)
-                                                    & (xb <= self.hi[self.basic] + FEAS_TOL)):
-                    if repairs == 2:
-                        return ITERATION_LIMIT
-                    repairs += 1
-                    status = self._dual_start(self.prep.c)
-                    continue
-            joined = (status == OPTIMAL and self._join_broken()
-                      or status == UNBOUNDED and self._join(~self.prep.model.active))
-            if fresh and not joined:
-                return status
-            if not self._factor():
+        """Run to a final status.  A verdict stands once it checks against
+        the working rows at the inverse held (``_certified``) and, for an
+        optimum, breaks no row left out.  Rows left out join the run when
+        the optimum breaks them, or all of them when the working LP is
+        unbounded; a verdict that fails its check has the basis factored
+        afresh, ``RECHECKS`` times at most.  Either way the run goes back
+        through the dual start.  ITERATION_LIMIT is final, and a basis that
+        fails to factor ends the run at once with it."""
+        status = (self._warm if self.warm is not None else self._cold)(self.prep.c)
+        failed = 0
+        while status != ITERATION_LIMIT:
+            if status == UNBOUNDED and self._join(~self.prep.model.active):
+                pass  # the grown working LP goes on from the same basis
+            elif self._certified(status):
+                if not (status == OPTIMAL and self._join_broken()):
+                    return status
+            elif failed < RECHECKS:
+                failed += 1
+                self._factor()
+            else:
                 return ITERATION_LIMIT
-            if status == ITERATION_LIMIT:
-                self.x = self._compute_x()
-                return status
+            if self.b_inv is None:  # the recheck or the grown basis failed to factor
+                return ITERATION_LIMIT
             status = self._dual_start(self.prep.c)
+        if self.b_inv is not None:
+            self.x = self._compute_x()
+        return status
+
+    def _certified(self, status) -> bool:
+        """Whether a verdict checks against the working rows at the inverse
+        held, whatever drift the rank-1 updates left in it.
+
+        Optimal and unbounded: the recomputed iterate meets its bounds and
+        rows within FEAS_TOL.  Optimal: no reduced cost d = c - A^T B^-T c_B
+        lets a column improve the objective.  Unbounded: the entering
+        column still improves it, and the ray along B^-1 a_q meets no finite
+        bound and no row.  Infeasible: the proving row y = e_r^T B^-1 is a
+        Farkas certificate, with y^T b outside the range of y^T A x over
+        the bounds by more than FEAS_TOL (Neumaier & Shcherbina 2004),
+        which holds for any y.
+        That range leaves out entries |y^T a_j| <= PIVOT_TOL on columns with
+        an infinite bound: the dual ratio test never takes them, and their
+        round-off on a basic free column would make every range infinite."""
+        prep, c = self.prep, self.prep.c
+        if status == INFEASIBLE:
+            y = self.b_inv[self.proof]
+            alpha = self._alpha_row(y)
+            alpha[(np.abs(alpha) <= PIVOT_TOL) & np.isinf(self.hi - self.lo)] = 0.0
+            pos, neg = alpha > 0.0, alpha < 0.0
+            low = alpha[pos] @ self.lo[pos] + alpha[neg] @ self.hi[neg]
+            high = alpha[pos] @ self.hi[pos] + alpha[neg] @ self.lo[neg]
+            beta = y @ prep.b
+            return bool(beta < low - FEAS_TOL or beta > high + FEAS_TOL)
+        self._refresh(c)
+        x = self.x
+        if not (np.all(x >= self.lo - FEAS_TOL) and np.all(x <= self.hi + FEAS_TOL)
+                and np.abs(prep.ax(x) - prep.b).max(initial=0.0) <= FEAS_TOL):
+            return False
+        movable = self.lo < self.hi
+        if status == OPTIMAL:
+            inc, dec = self._entering(self.d, movable)
+            return not (inc.any() or dec.any())
+        q, s = self.proof
+        ray = np.zeros(prep.ncols)
+        ray[self.basic] = -s * self._w_col(q)
+        ray[q] = s
+        blocked = (ray > PIVOT_TOL) & np.isfinite(self.hi) | (ray < -PIVOT_TOL) & np.isfinite(self.lo)
+        return bool(c @ ray < -DUAL_TOL and not blocked.any()
+                    and np.abs(prep.ax(ray)).max() <= FEAS_TOL)
 
     def _join_broken(self) -> bool:
         """Join every row left out that the iterate breaks; False if none is."""
@@ -808,8 +891,9 @@ class _Run:
 
     def _join(self, rows) -> bool:
         """Move onto the working rows grown by the model ``rows``, each new
-        row holding its own slack basic; False if all are in already.  The
-        grown basis still needs its factorization.
+        row holding its own slack basic, and factor the grown basis from the
+        kernel of the old one, which it shares; False if all rows are in
+        already.
 
         The new slacks have zero cost, so the duals of the old rows stay
         and the new rows price at zero: an optimal basis stays dual
@@ -817,6 +901,8 @@ class _Run:
         old = self.prep
         if not old.model._activate(rows):
             return False
+        known = self._kernel()
+        self.b_inv = None  # the old inverse has the old shape
         new = old.model._working()
         n = old.n_struct
         to_new = new.from_full[old.full_col]
@@ -831,5 +917,5 @@ class _Run:
         x[to_new] = self.x  # the last iterate, if the grown basis fails to factor
         self.prep, self.lo, self.hi, self.basic, self.status = new, lo, hi, basic, status
         self.x = x
-        self.b_inv = None  # the old inverse has the old shape
+        self._factor(known)
         return True

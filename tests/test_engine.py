@@ -21,7 +21,7 @@ from dedpoz import (
     solve_ded_with_loss,
 )
 from dedpoz import BnbConfig, build_milp1, build_milp2, engine, solve_milp
-from dedpoz.milp import lp_relaxation, tangent_gap_bound
+from dedpoz.milp import _reanchor, lp_relaxation, tangent_gap_bound
 from dedpoz.oracle import dp_error_bound, dp_exact_dispatch
 from dedpoz.simplex import OPTIMAL, PreparedLp, _Run
 from support import (
@@ -185,9 +185,10 @@ def test_lossy_loop_converges_and_reports_iterations():
 def test_anchor_policy_replays_exactly():
     # pass 2 linearizes around the lossless dispatch; pass 3 around the
     # midpoint of the pass-1 and pass-2 dispatches.  The solver stack is
-    # deterministic, so replaying the first two passes by hand, pass 1 on
-    # the loss-off layout and pass 2 started from pass 1's root basis as the
-    # loop does, must reproduce the recorded anchors bit for bit.
+    # deterministic, so replaying the first two passes by hand as the loop
+    # runs them, on one prepared loss-off model that pass 2 edits, started
+    # from pass 1's root basis, must reproduce the recorded anchors bit for
+    # bit.
     rng = np.random.default_rng(47)
     instance = random_lossy_instance(rng)
     cfg = IaConfig(gap=1e-5)
@@ -197,14 +198,16 @@ def test_anchor_policy_replays_exactly():
 
     bnb = BnbConfig(gap=cfg.gap, time_limit_s=cfg.time_limit_s,
                     node_limit=cfg.node_limit)
-    m1, vm1 = build_milp2(instance, cfg.tangent_steps, None)
-    s1 = solve_milp(m1, vm1, bnb)
-    p1 = vm1.extract_schedule(s1.values).p
+    m1, vm = build_milp2(instance, cfg.tangent_steps, None)
+    prep = PreparedLp(lp_relaxation(m1))
+    s1 = solve_milp(m1, vm, bnb, prepared=prep)
+    p1 = vm.extract_schedule(s1.values).p
     np.testing.assert_array_equal(report.iterations[1].anchor, p1)
     if len(report.iterations) >= 3:
-        m2, vm2 = build_milp2(instance, cfg.tangent_steps, p1)
-        s2 = solve_milp(m2, vm2, bnb, warm_start=s1.root_basis)
-        p2 = vm2.extract_schedule(s2.values).p
+        m2, rows = _reanchor(m1, vm, instance, p1)
+        prep._edit(m2, rows, vm.loss_quad)
+        s2 = solve_milp(m2, vm, bnb, prepared=prep, warm_start=s1.root_basis)
+        p2 = vm.extract_schedule(s2.values).p
         np.testing.assert_array_equal(report.iterations[2].anchor,
                                       midpoint_anchor(p1, p2))
 
@@ -257,6 +260,77 @@ def test_mapped_basis_fits_milp2_and_saves_pivots(monkeypatch):
     assert cold.status == carried.status == OPTIMAL
     assert carried.objective == pytest.approx(cold.objective, rel=1e-9)
     assert carried.pivots < cold.pivots
+
+
+PREPARED_ARRAYS = ("rows_nz", "cols_nz", "vals_nz", "col_rows", "col_vals", "col_ptr",
+                   "b", "row_scale", "lo_template", "hi_template", "c", "col_scale")
+
+
+def assert_same_prepared(edited, fresh):
+    for name in PREPARED_ARRAYS:
+        a, b = getattr(edited, name), getattr(fresh, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_each_later_pass_edits_the_prepared_model_into_its_own(monkeypatch):
+    # the loop prepares one model; each later pass's edit leaves it bit for
+    # bit the prepared form of that pass's model, working rows aside
+    edit = PreparedLp._edit
+    checked = []
+
+    def spy(prep, model, rows, cols):
+        working = prep.active.copy()
+        edit(prep, model, rows, cols)
+        fresh = PreparedLp(lp_relaxation(model))
+        assert_same_prepared(prep, fresh)
+        np.testing.assert_array_equal(prep.active, working | fresh.active)
+        checked.append(True)
+
+    monkeypatch.setattr(PreparedLp, "_edit", spy)
+    rng = np.random.default_rng(2102)
+    for _ in range(4):
+        report = solve_ded_with_loss(random_lossy_instance(rng), IaConfig(gap=1e-5))
+        assert report.terminated_by == "epsilon"
+    assert len(checked) >= 8
+
+
+def test_a_lossy_solve_builds_and_prepares_one_model(monkeypatch):
+    build, init = engine.build_milp2, PreparedLp.__init__
+    built, prepared, searched = [], [], []
+
+    def spy_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def spy_init(prep, model):
+        prepared.append(prep)
+        init(prep, model)
+
+    def spy_solve(model, *args, prepared=None, **kwargs):
+        searched.append(prepared)
+        return solve_milp(model, *args, prepared=prepared, **kwargs)
+
+    monkeypatch.setattr(engine, "build_milp2", spy_build)
+    monkeypatch.setattr(PreparedLp, "__init__", spy_init)
+    monkeypatch.setattr(engine, "solve_milp", spy_solve)
+    report = solve_ded_with_loss(random_lossy_instance(np.random.default_rng(2103)),
+                                 IaConfig(gap=1e-5))
+    assert len(report.iterations) >= 3
+    assert len(built) == 1 and built[0][2] is None  # the loss-off layout
+    assert len(prepared) == 1
+    assert searched == prepared * len(report.iterations)
+
+
+def test_a_prepared_model_of_another_shape_is_refused():
+    instance = random_lossy_instance(np.random.default_rng(2104))
+    model, varmap = build_milp2(instance, 4, None)
+    other, _ = build_milp1(instance, 4)
+    with pytest.raises(ValidationError, match="prepared model"):
+        solve_milp(model, varmap, prepared=PreparedLp(lp_relaxation(other)))
+    prep = PreparedLp(lp_relaxation(model))
+    with pytest.raises(ValidationError, match="another shape"):
+        prep._edit(lp_relaxation(other), [0], [0])
 
 
 def test_exhausted_iterations_fall_back_to_best_pass():

@@ -14,13 +14,14 @@ from dedpoz.milp import (
     MilpModel,
     TangentPlan,
     Variable,
+    _reanchor,
     dump_lp_text,
     make_tangent_plan,
     tangent_cut,
     tangent_gap_bound,
 )
 from dedpoz.system import Schedule, SystemInstance
-from support import make_unit
+from support import make_unit, random_lossy_instance
 
 STEPS = 3
 
@@ -219,6 +220,27 @@ def test_build_milp2_rows_and_validation():
         assert dict(balance.coeffs) == {off_map.p_total[0][t]: 1.0,
                                         off_map.p_total[1][t]: 1.0, q: -1.0}
         assert balance.rhs == instance.demand[t]
+
+
+def test_reanchor_rebuilds_only_the_loss_rows():
+    rng = np.random.default_rng(2101)
+    instance = random_lossy_instance(rng)
+    shape = (instance.n_periods, instance.n_units)
+    model, varmap = build_milp2(instance, STEPS, None)
+    t_count = instance.n_periods
+    names = ([f"loss_cut({t})" for t in range(t_count)]
+             + [f"balance({t})" for t in range(t_count)])
+    # zero anchors give a zero gradient, so loss_cut(t) loses its p terms
+    for anchors in (rng.uniform(10.0, 40.0, shape), np.zeros(shape),
+                    rng.uniform(10.0, 40.0, shape), None):
+        new, rows = _reanchor(model, varmap, instance, anchors)
+        assert new == build_milp2(instance, STEPS, anchors)[0]
+        assert [new.constraints[r].name for r in rows] == names
+        kept = np.setdiff1d(np.arange(model.n_constraints), rows)
+        assert all(new.constraints[r] is model.constraints[r] for r in kept)
+        model = new
+    with pytest.raises(ValidationError, match="anchors shape"):
+        _reanchor(model, varmap, instance, np.zeros((1, 1)))
 
 
 def test_lp_relaxation_drops_binaries():

@@ -367,48 +367,55 @@ def test_optimal_exit_that_breaks_a_bound_is_repaired_or_withheld(monkeypatch):
     assert cold.status == OPTIMAL
 
     # a dual phase that claims optimality without pivoting leaves the warm
-    # basis primal infeasible under the new bounds, as drift would
-    dual = _Run._dual
-    calls = []
+    # basis primal infeasible under the new bounds, as drift would; the
+    # claim fails its certificate, and the dual start from a fresh
+    # factorization repairs it
+    dual, factor = _Run._dual, _Run._factor
+    calls, factored = [], []
 
     def stale_first(run, c):
         calls.append(c)
         return OPTIMAL if len(calls) == 1 else dual(run, c)
 
+    def spy_factor(run, known=None):
+        factored.append(known is not None)
+        return factor(run, known)
+
     monkeypatch.setattr(_Run, "_dual", stale_first)
+    monkeypatch.setattr(_Run, "_factor", spy_factor)
     warm = prep.solve(lower=lo, upper=hi, warm_start=base.basis)
-    assert len(calls) == 3  # the stale claim, the repair, its re-read
+    assert len(calls) == 2  # the stale claim, then the run after the recheck
+    assert factored == [True, False]  # the warm load, then the recheck
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
 
+    # a claim that never checks is withheld after RECHECKS fresh factorizations
+    factored.clear()
     monkeypatch.setattr(_Run, "_dual", lambda run, c: OPTIMAL)
     stuck = prep.solve(lower=lo, upper=hi, warm_start=base.basis)
     assert stuck.status == ITERATION_LIMIT
+    assert factored == [True] + [False] * simplex.RECHECKS
 
 
 # ----- a basis that fails to factor ends the solve --------------------------
 
-FACTOR, JOIN_BROKEN = _Run._factor, _Run._join_broken
+FACTOR = _Run._factor
 
 
 def solve_with_failed_factor(monkeypatch, model, fail_at=None):
     """Solve ``model`` recording each call of ``_Run._factor`` as
-    ``(since_refactor, just_joined)``; call number ``fail_at`` returns False
-    and changes nothing, as on a singular basis."""
-    calls, joined = [], []
+    ``(since_refactor, from a known kernel)``; call number ``fail_at``
+    drops the inverse and returns False, as on a singular basis."""
+    calls = []
 
-    def flaky(run):
-        calls.append((run.since_refactor, bool(joined)))
-        joined.clear()
-        return False if len(calls) - 1 == fail_at else FACTOR(run)
-
-    def spy_join(run):
-        grown = JOIN_BROKEN(run)
-        joined.extend([True] if grown else [])
-        return grown
+    def flaky(run, known=None):
+        calls.append((run.since_refactor, known is not None))
+        if len(calls) - 1 == fail_at:
+            run.b_inv = None
+            return False
+        return FACTOR(run, known)
 
     monkeypatch.setattr(_Run, "_factor", flaky)
-    monkeypatch.setattr(_Run, "_join_broken", spy_join)
     return PreparedLp(lp_relaxation(model)).solve(), calls
 
 
@@ -418,23 +425,34 @@ def test_a_failed_factorization_is_never_reported_optimal(monkeypatch, which):
     if which == "window":
         monkeypatch.setattr(simplex, "REFACTOR_EVERY", 2)
     if which != "join":
-        model = unmarked(model)  # no row joins, so the exit refactorization is last
+        model = unmarked(model)  # no row joins
+    rejected = []
+    if which == "exit":
+        # the first verdict of a solve fails its certificate, so the basis
+        # is factored afresh before the run goes on
+        certified = _Run._certified
+
+        def reject_first(run, status):
+            rejected.append(status)
+            return len(rejected) > 1 and certified(run, status)
+
+        monkeypatch.setattr(_Run, "_certified", reject_first)
     clean, calls = solve_with_failed_factor(monkeypatch, model)
     assert clean.status == OPTIMAL
     if which == "exit":
-        at = len(calls) - 1
-        assert calls[at][0] > 0 and not calls[at][1]
+        at = 1  # the crash, then the recheck
+        assert len(calls) == 2 and calls[at][0] > 0 and not calls[at][1]
     elif which == "join":
-        at = [joined for _, joined in calls].index(True)
+        at = [known for _, known in calls].index(True)  # from the kernel
     else:
         at = 1  # the crash, then the first window
         assert calls[at] == (2, False)
+    rejected.clear()
     sol, _ = solve_with_failed_factor(monkeypatch, model, fail_at=at)
     assert sol.status == ITERATION_LIMIT
-    # its basis carries no kernel inverse for a warm start to reuse (the
-    # window stub keeps the old inverse, so the exit factors the basis anew)
+    # its basis carries no kernel inverse for a warm start to reuse
     assert clean.basis.kernel is not None
-    assert (sol.basis.kernel is None) == (which != "window")
+    assert sol.basis.kernel is None
 
 
 # ----- warm starts from another model's basis; the dual start --------------
@@ -463,6 +481,25 @@ def test_warm_start_from_a_perturbed_copys_basis_matches_cold(pair):
         assert warm.objective == pytest.approx(cold.objective, rel=1e-7, abs=1e-9)
         for sol in (warm, cold):
             _check_primal_feasible(model, sol.values, tol=1e-6)
+
+
+def test_warm_start_that_alternated_between_two_bases_ends_infeasible():
+    # r0's left side is at most -20.5 over the bounds, so the LP is
+    # infeasible.  From the perturbed copy's basis, a rule that reads each
+    # infeasible verdict again through the dual start moves boxed columns to
+    # their other bound, and the dual phase pivots back to the other of two
+    # bases, until max_iters; the proving row certifies the first verdict
+    bounds = [(-3.0, 0.0), (-1.5, -1.5), (-6.0, -5.0), (-5.0, 0.5)]
+    objective = [(0, -0.5), (1, 3.0), (2, -3.0), (3, -0.5)]
+    model = lp(bounds, [([(0, 5.0), (1, -4.5), (2, 5.5), (3, 0.5)], GE, -6.0),
+                        ([(0, -2.5), (2, -4.5), (3, -5.5)], LE, -0.5)], objective)
+    perturbed = lp(bounds, [([(0, -2.5), (1, -2.0), (2, 5.5), (3, 1.5)], GE, 4.5),
+                            ([(0, 0.5), (2, 1.0), (3, 3.0)], LE, -0.5)], objective)
+    donor = solve_lp(perturbed)
+    assert solve_lp(model).status == INFEASIBLE
+    warm = solve_lp(model, warm_start=donor.basis)
+    assert warm.status == INFEASIBLE
+    assert warm.iterations <= 5
 
 
 def test_warm_basis_that_does_not_fit_starts_cold():
@@ -514,8 +551,8 @@ def test_dual_infeasible_warm_basis_is_shifted_not_restarted(monkeypatch):
     repriced = lp(bounds, rows, [(0, 3.0), (1, 1.0)])
     cold = solve_lp(repriced)
     warm, calls = _spied_warm_start(monkeypatch, repriced, basis)
-    # after the pivots, the re-read from a fresh factorization needs no shift
-    assert calls == [(True, AT_LOWER), (False, BASIC)]
+    # one dual phase on shifted costs; its verdict checks, so no other runs
+    assert calls == [(True, AT_LOWER)]
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     np.testing.assert_allclose(warm.values, [0.0, 2.0], atol=1e-12)
@@ -529,8 +566,8 @@ def test_dual_infeasible_boxed_column_flips_instead_of_shifting(monkeypatch):
     cold = solve_lp(repriced)
     warm, calls = _spied_warm_start(monkeypatch, repriced, basis)
     # x1 moved to its upper bound, where its negative reduced cost is right;
-    # it enters the basis, and the re-read needs no shift
-    assert calls == [(False, AT_UPPER), (False, BASIC)]
+    # it enters the basis, and the verdict checks with no other dual phase
+    assert calls == [(False, AT_UPPER)]
     assert warm.status == OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     np.testing.assert_allclose(warm.values, [0.0, 2.0], atol=1e-12)
@@ -584,6 +621,70 @@ def test_optimal_claim_after_pivots_is_read_again(monkeypatch):
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-2.0, abs=1e-12)
     np.testing.assert_allclose(sol.values, [3.0, 1.0], atol=1e-12)
+
+
+# ----- a verdict stands only on a certificate -------------------------------
+
+# x0 + x1 >= 6 and x0 - x1 <= 100 over [0, 10]^2: feasible, with its optimum
+# at (6, 0).  The crash basis holds both slacks, so B^-1 is the identity;
+# each held inverse below replaces it on the first factorization only
+CERTIFIED_LP = lp([(0.0, 10.0), (0.0, 10.0)],
+                  [([(0, 1.0), (1, 1.0)], GE, 6.0), ([(0, 1.0), (1, -1.0)], LE, 100.0)],
+                  [(0, 2.0), (1, 3.0)])
+
+
+@pytest.mark.parametrize("claim, held", [
+    # the slacks read -6 and 100, both within bounds, and price at zero:
+    # "optimal" at (0, 0), which breaks the first row
+    (OPTIMAL, [[-1.0, 0.0], [0.0, 1.0]]),
+    # the first slack reads 94 > 0, and its row of the held inverse,
+    # y = (-1, 1), gives y^T A = (0, -2), so no column can lower it:
+    # "infeasible", though y^T b = 94 lies inside the range of y^T A x
+    (INFEASIBLE, [[-1.0, 1.0], [0.0, 1.0]]),
+])
+def test_a_verdict_the_inverse_held_cannot_back_is_rejected(monkeypatch, claim, held):
+    cold = solve_lp(CERTIFIED_LP)
+    assert cold.status == OPTIMAL and cold.objective == pytest.approx(12.0)
+    factor, certified = _Run._factor, _Run._certified
+    verdicts = []
+
+    def drifted_once(run, known=None):
+        ok = factor(run, known)
+        if not verdicts:
+            run.b_inv = np.array(held)
+        return ok
+
+    def spy(run, status):
+        ok = certified(run, status)
+        verdicts.append((status, ok))
+        return ok
+
+    monkeypatch.setattr(_Run, "_factor", drifted_once)
+    monkeypatch.setattr(_Run, "_certified", spy)
+    sol = solve_lp(CERTIFIED_LP)
+    assert verdicts == [(claim, False), (OPTIMAL, True)]
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-12)
+    np.testing.assert_allclose(sol.values, cold.values, atol=1e-12)
+
+
+def test_a_verdict_that_never_checks_ends_in_an_iteration_limit(monkeypatch):
+    # every verdict fails: the run factors afresh RECHECKS times, then stops
+    factor = _Run._factor
+    fresh = []
+
+    def spy(run, known=None):
+        fresh.append(known is None)
+        return factor(run, known)
+
+    monkeypatch.setattr(_Run, "_factor", spy)
+    monkeypatch.setattr(_Run, "_certified", lambda run, status: False)
+    for model in (CERTIFIED_LP, lp_relaxation(ladder_root_model(1))):
+        fresh.clear()
+        sol = solve_lp(model)
+        assert sol.status == ITERATION_LIMIT
+        assert fresh == [True] * (1 + simplex.RECHECKS)  # the crash and the rechecks
+        assert sol.iterations < 1000 < DEFAULT_MAX_ITERS
 
 
 @settings(max_examples=300, deadline=None)
@@ -790,9 +891,9 @@ def test_rows_join_inside_one_run_at_one_factorization_a_round(monkeypatch):
         runs.append(run)
         init(run, *args)
 
-    def spy_factor(run):
-        events.append(("factor", run.pivots))
-        return factor(run)
+    def spy_factor(run, known=None):
+        events.append(("factor" if known is None else "kernel", run.pivots))
+        return factor(run, known)
 
     def spy_join(run):
         grown = join(run)
@@ -808,31 +909,37 @@ def test_rows_join_inside_one_run_at_one_factorization_a_round(monkeypatch):
     joins = [k for k, (kind, _) in enumerate(events) if kind == "join"]
     assert joins
     for k in joins:
-        # no exit refactorization before the rows join, one after
+        # each round's rows join with one factorization, from the kernel the
+        # grown basis shares with the old one, and no other
         at = events[k][1]
-        assert [kind for kind, p in events if p == at] == ["join", "factor"]
+        assert [kind for kind, p in events if p == at] == ["kernel", "join"]
+    assert [kind for kind, _ in events].count("factor") == 1  # the crash
     eager = PreparedLp(lp_relaxation(unmarked(model))).solve()
     assert sol.status == eager.status == OPTIMAL
     assert sol.objective == pytest.approx(eager.objective, rel=1e-9)
 
 
 def test_rows_broken_only_at_the_recomputed_iterate_still_join(monkeypatch):
-    # the stub hides every broken row from the checks on the updated
-    # iterate, so only the check after the exit refactorization sees them
+    # the stub moves the updated iterate of each optimal claim to where no
+    # tangent cut is broken (every segment cost far up), so only the iterate
+    # the certificate recomputes from the basis shows the broken rows
     model = ladder_root_model(1)
-    join = _Run._join_broken
+    prep = PreparedLp(lp_relaxation(model))
+    free = np.flatnonzero(np.isinf(prep.lo_template[:prep.n_struct]))
+    assert free.size
+    primal = _Run._primal
     hidden = []
 
-    def hide_before_exit(run):
-        if run.since_refactor > 0:
+    def hide_broken_rows(run, c):
+        status = primal(run, c)
+        if status == OPTIMAL:
             hidden.append(run.pivots)
-            return False
-        return join(run)
+            run.x[free] = 1e9
+        return status
 
-    monkeypatch.setattr(_Run, "_join_broken", hide_before_exit)
-    prep = PreparedLp(lp_relaxation(model))
+    monkeypatch.setattr(_Run, "_primal", hide_broken_rows)
     sol = prep.solve()
-    assert hidden
+    assert len(hidden) > 1  # a claim per round of joined rows
     eager = PreparedLp(lp_relaxation(unmarked(model))).solve()
     assert sol.status == eager.status == OPTIMAL
     assert sol.objective == pytest.approx(eager.objective, rel=1e-9)
