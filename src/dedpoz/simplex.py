@@ -37,12 +37,24 @@ Revised simplex with an explicit basis inverse.  Design points:
   moves to its other bound, and any other one has its cost shifted by
   minus its reduced cost for the dual phase (cost shifting); the primal
   phase runs on the true costs;
-* pricing takes the largest reduced cost scaled by column norm, with a
-  switch to Bland's rule after 1,000 degenerate steps;
+* primal pricing takes the largest reduced cost scaled by column norm;
+* dual pricing takes the row with the largest infeasibility (Dantzig's
+  rule) until the run has made ``STEEP_AFTER`` pivots, then the largest
+  viol_i^2 / beta_i, beta_i = |e_i^T B^-1|^2 (dual steepest edge, Forrest &
+  Goldfarb 1992): the weights are read off B^-1 at the switch and at every
+  factorization, and take an exact update at each pivot from the block the
+  inverse update gathers.  Both switch to Bland's rule after
+  ``BLAND_AFTER`` degenerate steps;
 * both ratio tests are Harris two-pass: the first pass bounds the step with
   every bound (or reduced cost) relaxed by ``HARRIS_TOL``, the second takes
   the largest pivot among the rows (columns) that block within it, so a
-  near-zero pivot is not taken while a sound one blocks almost as early;
+  near-zero pivot is not taken while a sound one blocks almost as early.
+  The dual one runs over the columns where the pivot row is nonzero.  Once
+  the weights are kept it takes a long step (Koberstein 2005, ch. 3): while
+  the leaving row's infeasibility outlasts the boxed breakpoints in ratio
+  order, it passes them, each column moving to its other bound (a bound
+  flip, counted as an iteration), and runs Harris over the rest; a row that
+  outlasts every breakpoint proves infeasibility;
 * most basic columns are slacks, i.e. unit vectors, so a
   refactorization inverts only the kernel: the structural basic columns
   restricted to the rows no unit column covers.  The rest of the inverse
@@ -50,7 +62,8 @@ Revised simplex with an explicit basis inverse.  Design points:
 * between refactorizations the inverse takes a rank-1 update per pivot,
   applied only where the entering column and the pivot row are nonzero
   (both are sparse on dispatch models);
-* the iterate and reduced costs are updated per pivot and recomputed from
+* the iterate and reduced costs are updated per pivot, on the nonzeros of
+  the entering column and of the pivot row, and recomputed from
   scratch at every refactorization, at the latest ``REFACTOR_EVERY``
   rank-1 updates after the last inversion, counted along a chain of warm
   starts that reuse a kernel;
@@ -83,6 +96,7 @@ PIVOT_TOL = 1e-9
 HARRIS_TOL = 1e-9
 DEGEN_STEP = 1e-10
 BLAND_AFTER = 1000
+STEEP_AFTER = 30
 REFACTOR_EVERY = 400
 RECHECKS = 2
 DEFAULT_MAX_ITERS = 50_000
@@ -208,7 +222,6 @@ class PreparedLp(_Form):
         self.n_struct = n
         self.m = m
         self.ncols = n + m
-        rows, cols, vals = _entries(model.constraints, range(m))
         self.lo_template = np.empty(self.ncols)
         self.hi_template = np.empty(self.ncols)
         self.lo_template[:n] = [v.lb for v in model.variables]
@@ -216,8 +229,10 @@ class PreparedLp(_Form):
         for r, con in enumerate(model.constraints):
             self.lo_template[n + r] = -np.inf if con.sense == GE else 0.0
             self.hi_template[n + r] = np.inf if con.sense == LE else 0.0
-        self._set_rows(rows, cols, vals, np.array([con.rhs for con in model.constraints],
-                                                  dtype=float))
+        self.rows_nz = self.cols_nz = np.zeros(0, dtype=np.int64)
+        self.vals_nz = np.zeros(0)
+        self.b, self.row_scale = np.zeros(m), np.ones(m)
+        self._set_rows(model, np.arange(m))
         c = np.zeros(self.ncols)
         for j, coef in model.objective:
             c[j] += coef
@@ -227,12 +242,14 @@ class PreparedLp(_Form):
         self._work = None
         self.token = object()  # names this model's scaled matrix in a basis kernel
 
-    def _set_rows(self, rows, cols, vals, b):
-        """Coalesce, scale and index the entries ``(rows, cols, vals)`` of
-        the rows with rhs ``b``, which are then the model's."""
-        n, m = self.n_struct, self.m
-        self._raw = (rows, cols, vals, b)
-        scale = np.ones(m)
+    def _set_rows(self, model: MilpModel, which):
+        """Take the coefficients and rhs of the model rows ``which``, in
+        increasing order, from ``model``: coalesce and scale their entries
+        alone, splice them into the row-ordered arrays in place of the old
+        ones, and index the whole matrix by column again."""
+        n = self.n_struct
+        rows, cols, vals = _entries(model.constraints, which.tolist())
+        scale = np.ones(which.size)
         if rows.size:
             # coalesce duplicate (row, col) entries so downstream scatter
             # operations see one coefficient per cell; the sorted keys leave
@@ -243,17 +260,34 @@ class PreparedLp(_Form):
             rows = (uniq // n).astype(np.int64)
             cols = (uniq % n).astype(np.int64)
             mag = np.abs(vals)
-            starts = np.searchsorted(rows, np.arange(m))
-            ends = np.searchsorted(rows, np.arange(m) + 1)
-            nonempty = ends > starts
-            row_max = np.ones(m)
-            row_min = np.ones(m)
+            starts = np.searchsorted(rows, which)
+            nonempty = np.searchsorted(rows, which, side="right") > starts
+            row_max = np.ones(which.size)
+            row_min = np.ones(which.size)
             row_max[nonempty] = np.maximum.reduceat(mag, starts[nonempty])
             row_min[nonempty] = np.minimum.reduceat(mag, starts[nonempty])
             scale = np.clip(np.sqrt(row_max * row_min), 1e-8, 1e8)
-            vals = vals / scale[rows]
+        self.row_scale[which] = scale
+        vals = vals / self.row_scale[rows]
+        rebuilt = np.zeros(self.m, dtype=bool)
+        rebuilt[which] = True
+        kept = ~rebuilt[self.rows_nz]
+        at = np.searchsorted(self.rows_nz[kept], rows) + np.arange(rows.size)
+        fresh = np.zeros(np.count_nonzero(kept) + rows.size, dtype=bool)
+        fresh[at] = True
 
-        csc = np.lexsort((rows, cols))
+        def spliced(old, new):
+            out = np.empty(fresh.size, dtype=old.dtype)
+            out[at], out[~fresh] = new, old[kept]
+            return out
+
+        rows, cols, vals = (spliced(self.rows_nz, rows), spliced(self.cols_nz, cols),
+                            spliced(self.vals_nz, vals))
+        self.b[which] = np.array([model.constraints[r].rhs for r in which.tolist()],
+                                 dtype=float) / scale
+        # the entries are in row order and each cell appears once, so a
+        # stable sort by column leaves each column's entries in row order
+        csc = np.argsort(cols, kind="stable")
         self.col_rows = rows[csc]
         self.col_vals = vals[csc]
         self.col_ptr = np.concatenate(
@@ -261,8 +295,6 @@ class PreparedLp(_Form):
         self.rows_nz = rows
         self.cols_nz = cols
         self.vals_nz = vals
-        self.b = b / scale
-        self.row_scale = scale
         norm_sq = (np.bincount(cols, weights=vals * vals, minlength=n)
                    if rows.size else np.zeros(n))
         self.col_scale = np.empty(self.ncols)
@@ -277,15 +309,8 @@ class PreparedLp(_Form):
         kernels of the old rows no longer fit."""
         if (len(model.variables), len(model.constraints)) != (self.n_struct, self.m):
             raise ValidationError("the edit's model has another shape")
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        old_rows, old_cols, old_vals, b = self._raw
-        keep = ~np.isin(old_rows, rows)
-        new_rows, new_cols, new_vals = _entries(model.constraints, rows)
-        b = b.copy()
-        b[rows] = [model.constraints[r].rhs for r in rows]
-        self._set_rows(np.concatenate([old_rows[keep], new_rows]),
-                       np.concatenate([old_cols[keep], new_cols]),
-                       np.concatenate([old_vals[keep], new_vals]), b)
+        cols = np.asarray(cols, dtype=np.int64)
+        self._set_rows(model, np.unique(np.asarray(rows, dtype=np.int64)))
         self.lo_template[cols] = [model.variables[j].lb for j in cols]
         self.hi_template[cols] = [model.variables[j].ub for j in cols]
         self._work = None
@@ -405,6 +430,11 @@ def solve_lp(model: MilpModel, warm_start: Basis | None = None,
     return PreparedLp(model).solve(warm_start=warm_start, max_iters=max_iters)
 
 
+def _row_norms(a) -> np.ndarray:
+    """Squared Euclidean norm of each row of ``a``."""
+    return np.einsum("ij,ij->i", a, a)
+
+
 def _default_status(lo, hi) -> np.ndarray:
     """Per column: at the finite bound nearer zero, else free at zero."""
     fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
@@ -429,6 +459,7 @@ class _Run:
         self.status = np.empty(prep.ncols, dtype=np.int8)
         self.basic = np.empty(prep.m, dtype=np.int64)
         self.b_inv = None  # None while the basis is not factored
+        self.weights = None  # dual steepest-edge weights, kept after STEEP_AFTER pivots
         self.proof = None  # what the last infeasible or unbounded verdict rests on
         self.x = np.zeros(prep.ncols)
         self.d = np.zeros(prep.ncols)
@@ -496,6 +527,8 @@ class _Run:
         b_inv[u_pos, ru] = 1.0
         self.b_inv = b_inv
         self.since_refactor = updates
+        if self.weights is not None:
+            self.weights = _row_norms(b_inv)
         return True
 
     def _kernel(self):
@@ -507,13 +540,34 @@ class _Run:
         return (self.prep.token, self.basic[s_pos], self.prep.rows[k_rows],
                 self.b_inv[s_pos[:, None], k_rows], self.since_refactor)
 
-    def _update_b_inv(self, w, r):
-        # the entries skipped here would subtract an exact zero
-        row = self.b_inv[r] / w[r]
-        rows = np.flatnonzero(w)
-        cols = np.flatnonzero(row)
-        self.b_inv[rows[:, None], cols] -= np.multiply.outer(w[rows], row[cols])
-        self.b_inv[r] = row
+    def _update_b_inv(self, w, r, rows):
+        """Rank-1 update of B^-1 for the exchange at position r, with
+        w = B^-1 a_q nonzero on ``rows``; the entries skipped would subtract
+        an exact zero.  Row i becomes rho_i - w_i rho, rho = rho_r / w_r, so
+        a kept weight beta_i = |rho_i|^2 takes -2 w_i (rho_i . rho) +
+        w_i^2 |rho|^2, read off the block the update gathers anyway."""
+        b_inv, beta = self.b_inv, self.weights
+        row = b_inv[r] / w[r]
+        cols = row.nonzero()[0]
+        rho, w_on = row[cols], w[rows]
+        # one flat index is cheaper than a 2-D gather; setting the shape
+        # of a view raises rather than copy, so the writes reach b_inv
+        flat = b_inv.view()
+        flat.shape = -1
+        cells = rows[:, None] * b_inv.shape[1] + cols
+        block = flat[cells]
+        if beta is not None:
+            dots = block @ rho
+        block -= w_on[:, None] * rho
+        flat[cells] = block
+        b_inv[r] = row
+        if beta is not None:
+            norm = rho @ rho
+            beta[rows] += w_on * (w_on * norm - 2.0 * dots)
+            beta[r] = norm
+            drifted = rows[beta[rows] <= 0.0]
+            if drifted.size:
+                beta[drifted] = _row_norms(b_inv[drifted])
         self.since_refactor += 1
 
     def _compute_x(self) -> np.ndarray:
@@ -567,33 +621,29 @@ class _Run:
         alpha[n:] = binv_r
         return alpha
 
-    def _pivot_d_update(self, alpha, q, piv):
-        """Reduced costs after a basis exchange, from the old tableau row.
-
-        Exact for every column: entering q goes to zero, columns basic both
-        before and after stay zero, and the leaving column picks up -d_q/piv.
-        Call after ``self.basic`` has been updated.
-        """
-        dq = self.d[q]
-        if dq != 0.0:
-            self.d -= (dq / piv) * alpha
-        self.d[self.basic] = 0.0
-        self.d[q] = 0.0
-
     def _exchange(self, r, q, w, alpha, step, to_lower, theta):
         """Basis exchange at position r: q enters, moved by ``step``, with
         w = B^-1 a_q and ``alpha`` the old tableau row r; the leaving column
-        goes to its lower or upper bound.  A ratio-test step ``theta`` of
-        about zero counts toward the switch to Bland's rule."""
+        goes to its lower or upper bound.  The iterate moves on the nonzeros
+        of w and the reduced costs on those of alpha: the leaving column
+        picks up -d_q / w_r, q goes to zero and the other basic columns stay
+        there.  A ratio-test step ``theta`` of about zero counts toward the
+        switch to Bland's rule."""
         leaving = int(self.basic[r])
-        self.x[self.basic] -= step * w
+        rows = w.nonzero()[0]
+        self.x[self.basic[rows]] -= step * w[rows]
         self.x[q] += step
         self.x[leaving] = self.lo[leaving] if to_lower else self.hi[leaving]
         self.basic[r] = q
         self.status[q] = BASIC
         self.status[leaving] = AT_LOWER if to_lower else AT_UPPER
-        self._pivot_d_update(alpha, q, w[r])
-        self._update_b_inv(w, r)
+        dq = self.d[q]
+        if dq != 0.0:
+            on = alpha.nonzero()[0]
+            on = on[self.status[on] != BASIC]
+            self.d[on] -= (dq / w[r]) * alpha[on]
+        self.d[q] = 0.0
+        self._update_b_inv(w, r, rows)
         self.pivots += 1
         if theta <= DEGEN_STEP:
             self.degen += 1
@@ -752,13 +802,14 @@ class _Run:
                 cands = np.flatnonzero(ratios <= max(theta_basic + 1e-12, min(cap, span)))
                 r = int(cands[np.argmax(np.abs(delta[cands]))])
                 theta_basic = float(ratios[r])
-            alpha = self._alpha_row(self.b_inv[r].copy())
+            alpha = self._alpha_row(self.b_inv[r])
             self._exchange(r, q, w, alpha, s * theta_basic, delta[r] > 0, theta_basic)
 
     # ----- dual simplex ----------------------------------------------------
 
     def _dual(self, c) -> str:
-        prep = self.prep
+        """Dual simplex to primal feasibility, with the pricing and the
+        long step the module docstring describes."""
         movable = self.lo < self.hi
         self._refresh(c)
         while True:
@@ -766,50 +817,82 @@ class _Run:
                 return ITERATION_LIMIT
             if self.since_refactor >= REFACTOR_EVERY and not self._refactor(c):
                 return ITERATION_LIMIT
-            x, d = self.x, self.d
-            xb = x[self.basic]
+            if self.weights is None and self.pivots >= STEEP_AFTER:
+                self.weights = _row_norms(self.b_inv)
+            d = self.d
+            xb = self.x[self.basic]
             below = self.lo[self.basic] - xb
             above = xb - self.hi[self.basic]
             viol = np.maximum(below, above)
-            worst = np.flatnonzero(viol > FEAS_TOL)
+            worst = (viol > FEAS_TOL).nonzero()[0]
             if worst.size == 0:
                 return OPTIMAL
             if self.bland:
                 r = int(worst[np.argmin(self.basic[worst])])
+            elif self.weights is not None:
+                r = int(worst[np.argmax(viol[worst] ** 2 / self.weights[worst])])
             else:
                 r = int(np.argmax(viol))
             is_below = below[r] >= above[r]
-            alpha = self._alpha_row(self.b_inv[r].copy())
-            if is_below:
-                elig = movable & (
-                    ((self.status == AT_LOWER) & (alpha < -PIVOT_TOL))
-                    | ((self.status == AT_UPPER) & (alpha > PIVOT_TOL))
-                    | ((self.status == FREE_ZERO) & (np.abs(alpha) > PIVOT_TOL)))
-                denom = -alpha
-            else:
-                elig = movable & (
-                    ((self.status == AT_LOWER) & (alpha > PIVOT_TOL))
-                    | ((self.status == AT_UPPER) & (alpha < -PIVOT_TOL))
-                    | ((self.status == FREE_ZERO) & (np.abs(alpha) > PIVOT_TOL)))
-                denom = alpha
-            if not elig.any():
+            alpha = self._alpha_row(self.b_inv[r])
+            cand = (np.abs(alpha) > PIVOT_TOL).nonzero()[0]
+            cand = cand[movable[cand] & (self.status[cand] != BASIC)]
+            status = self.status[cand]
+            denom = -alpha[cand] if is_below else alpha[cand]
+            # a column at its lower bound may rise, one at its upper may fall
+            fits = (status == FREE_ZERO) | ((status == AT_LOWER) == (denom > 0.0))
+            cand, status, denom = cand[fits], status[fits], denom[fits]
+            if cand.size == 0:
                 self.proof = r
                 return INFEASIBLE
-            ratios = np.full(prep.ncols, np.inf)
-            ratios[elig] = np.maximum(d[elig] / denom[elig], 0.0)
+            ratios = np.maximum(d[cand] / denom, 0.0)
+            if self.weights is not None and not self.bland:
+                # each breakpoint passed cuts the row's infeasibility by
+                # |alpha_j| (u_j - l_j); a free column cannot be passed, nor
+                # one that leaves the row within FEAS_TOL of its bound
+                gain = np.abs(denom) * np.where(status == FREE_ZERO, np.inf,
+                                                self.hi[cand] - self.lo[cand])
+                outlasts = viol[r] - FEAS_TOL
+                if gain[np.argmin(ratios)] < outlasts:
+                    order = np.argsort(ratios, kind="stable")
+                    passed = int(np.count_nonzero(np.cumsum(gain[order]) < outlasts))
+                    if passed == cand.size:
+                        self.proof = r
+                        return INFEASIBLE
+                    self._flip(cand[order[:passed]])
+                    rest = order[passed:]
+                    cand, denom, ratios = cand[rest], denom[rest], ratios[rest]
             theta = float(ratios.min())
             if self.bland:
-                q = int(np.flatnonzero(ratios <= theta + 1e-12)[0])
+                q = int(cand[np.argmax(ratios <= theta + 1e-12)])
             else:
                 # Harris, as in the primal, with the reduced costs relaxed
-                cap = float((d[elig] / denom[elig] + HARRIS_TOL / np.abs(alpha[elig])).min())
-                cands = np.flatnonzero(ratios <= max(theta + 1e-12, cap))
-                q = int(cands[np.argmax(np.abs(alpha[cands]))])
+                cap = float((d[cand] / denom + HARRIS_TOL / np.abs(denom)).min())
+                near = (ratios <= max(theta + 1e-12, cap)).nonzero()[0]
+                q = int(cand[near[np.argmax(np.abs(denom[near]))]])
             w = self._w_col(q)
             leaving = self.basic[r]
             target = self.lo[leaving] if is_below else self.hi[leaving]
             self.iters += 1
-            self._exchange(r, q, w, alpha, (xb[r] - target) / w[r], is_below, theta)
+            self._exchange(r, q, w, alpha, (self.x[leaving] - target) / w[r], is_below, theta)
+
+    def _flip(self, cols):
+        """Move the nonbasic columns ``cols``, each at a finite bound, to
+        their other bounds, and the basic variables with them:
+        x_B -= B^-1 sum_j a_j delta_j, over the rows where that sum is
+        nonzero.  Each move counts as an iteration."""
+        n = self.prep.n_struct
+        up = self.status[cols] == AT_LOWER
+        to = np.where(up, self.hi[cols], self.lo[cols])
+        delta = to - self.x[cols]
+        structural = cols < n
+        moved = self.prep.structural_columns(cols[structural]) @ delta[structural]
+        moved[cols[~structural] - n] += delta[~structural]
+        on = np.flatnonzero(moved)
+        self.x[self.basic] -= self.b_inv[:, on] @ moved[on]
+        self.x[cols] = to
+        self.status[cols] = np.where(up, AT_UPPER, AT_LOWER)
+        self.iters += cols.size
 
     # ----- driver ----------------------------------------------------------
 

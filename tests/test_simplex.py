@@ -77,25 +77,67 @@ def _check_primal_feasible(model, values, tol=1e-6):
             assert lhs == pytest.approx(con.rhs, abs=tol)
 
 
+# the default, and steepest edge with the long step from the first pivot
+STEEP_MODES = (simplex.STEEP_AFTER, 0)
+
+
+def solves_both_ways(model):
+    """``solve_lp(model)`` in each of the STEEP_MODES."""
+    for steep in STEEP_MODES:
+        with mock.patch.object(simplex, "STEEP_AFTER", steep):
+            yield solve_lp(model)
+
+
 def test_matches_vertex_enumeration_on_random_lps():
     rng = np.random.default_rng(42)
     optimal_seen = infeasible_seen = 0
     for _ in range(24):
         model = random_boxed_lp(rng)
         status, best, _ = vertex_enumeration_min(model)
-        sol = solve_lp(model)
-        if status == "infeasible":
-            infeasible_seen += 1
-            assert sol.status == INFEASIBLE
-            assert sol.objective == np.inf
-        else:
-            optimal_seen += 1
-            assert sol.status == OPTIMAL
-            assert sol.objective == pytest.approx(best, rel=1e-6, abs=1e-6)
-            assert sol.residual <= 1e-6
-            _check_primal_feasible(model, sol.values)
+        for sol in solves_both_ways(model):
+            if status == "infeasible":
+                assert sol.status == INFEASIBLE
+                assert sol.objective == np.inf
+            else:
+                assert sol.status == OPTIMAL
+                assert sol.objective == pytest.approx(best, rel=1e-6, abs=1e-6)
+                assert sol.residual <= 1e-6
+                _check_primal_feasible(model, sol.values)
+        infeasible_seen += status == "infeasible"
+        optimal_seen += status != "infeasible"
     # the seed must exercise both outcomes for this test to mean anything
     assert optimal_seen >= 8 and infeasible_seen >= 3
+
+
+@pytest.mark.parametrize("rhs, status", [(2.5, OPTIMAL), (4.5, INFEASIBLE)])
+def test_long_step_passes_boxed_breakpoints(rhs, status):
+    # x0 + ... + x3 >= rhs over [0, 1]^4 at costs 1..4: the crash slack is
+    # rhs below its bound and each breakpoint passed cuts that by 1, so the
+    # first dual pivot moves x0 and x1 to 1 and makes x2 basic at 0.5; at
+    # 4.5 every breakpoint can be passed, which proves infeasibility
+    model = lp([(0.0, 1.0)] * 4, [([(j, 1.0) for j in range(4)], GE, rhs)],
+               [(j, float(j + 1)) for j in range(4)])
+    expected, best, _ = vertex_enumeration_min(model)
+    assert expected == status
+    with mock.patch.object(simplex, "STEEP_AFTER", 0):
+        sol = solve_lp(model)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.pivots == 1 and sol.iterations - sol.pivots >= 2
+        assert sol.objective == pytest.approx(best, abs=1e-9)
+        np.testing.assert_allclose(sol.values, [1.0, 1.0, 0.5, 0.0], atol=1e-12)
+
+
+def test_long_step_does_not_pass_a_breakpoint_that_closes_the_row():
+    # the crash makes the fixed x1 basic on 2 x0 - 2.5 x1 = 0.5 at 0.2,
+    # 0.8 below its bound; x0's breakpoint cuts that by 0.8 (2 / 2.5 over a
+    # span of 1), to within round-off of zero.  Passing it would claim
+    # infeasibility; the row is met with x0 at 1.5
+    model = lp([(0.5, 1.5), (1.0, 1.0)], [([(0, 2.0), (1, -2.5)], EQ, 0.5)],
+               [(0, 0.0), (1, 0.0)])
+    for sol in solves_both_ways(model):
+        assert sol.status == OPTIMAL
+        np.testing.assert_allclose(sol.values, [1.5, 1.0], atol=1e-9)
 
 
 def test_equality_with_free_variable():
@@ -291,16 +333,45 @@ def test_sparse_update_matches_dense_formula(monkeypatch):
     sparse_update = _Run._update_b_inv
     checked = []
 
-    def compare(run, w, r):
+    def compare(run, w, r, rows):
+        np.testing.assert_array_equal(rows, np.flatnonzero(w))
         row = run.b_inv[r] / w[r]
         expected = run.b_inv - np.outer(w, row)
         expected[r] = row
-        sparse_update(run, w, r)
-        checked.append(np.array_equal(run.b_inv, expected))
+        kept = run.weights is not None
+        if kept:
+            beta = run.weights - 2.0 * w * (run.b_inv @ row) + w * w * (row @ row)
+            beta[r] = row @ row
+        sparse_update(run, w, r, rows)
+        if kept:
+            np.testing.assert_allclose(run.weights, beta, rtol=1e-10, atol=0.0)
+        checked.append((np.array_equal(run.b_inv, expected), kept))
 
     monkeypatch.setattr(_Run, "_update_b_inv", compare)
-    ladder_root_lp(1).solve(max_iters=60)
-    assert len(checked) >= 45 and all(checked)
+    for steep in STEEP_MODES:
+        checked.clear()
+        with mock.patch.object(simplex, "STEEP_AFTER", steep):
+            ladder_root_lp(1).solve(max_iters=80)
+        assert len(checked) >= 45 and all(same for same, _ in checked)
+        # the default mode keeps no weights before STEEP_AFTER pivots
+        assert [kept for _, kept in checked] == [i >= steep for i in range(len(checked))]
+
+
+def test_kept_weights_are_the_row_norms_of_the_inverse(monkeypatch):
+    update = _Run._update_b_inv
+    gaps = []
+
+    def spy(run, w, r, rows):
+        update(run, w, r, rows)
+        exact = np.einsum("ij,ij->i", run.b_inv, run.b_inv)
+        gaps.append(float(np.max(np.abs(run.weights - exact) / exact)))
+
+    monkeypatch.setattr(_Run, "_update_b_inv", spy)
+    monkeypatch.setattr(simplex, "STEEP_AFTER", 0)
+    sol = ladder_root_lp(2).solve()
+    assert sol.status == OPTIMAL and sol.iterations > sol.pivots
+    assert len(gaps) == sol.pivots >= 100
+    assert max(gaps) <= 1e-9
 
 
 # ----- every optimal exit meets its rows and bounds -------------------------
@@ -330,16 +401,18 @@ def bounded_lps(draw, min_lazy=0):
 @given(bounded_lps())
 def test_every_optimal_meets_rows_and_bounds(model):
     # lazy rows included: the check reads the model, not the solver's residual
-    sol = PreparedLp(model).solve()
-    # a 3-pivot refactor window, so the window refactorization runs on
-    # models this small too, gives the same answer
-    with mock.patch.object(simplex, "REFACTOR_EVERY", 3):
-        short = PreparedLp(model).solve()
-    assert short.status == sol.status
-    if sol.status == OPTIMAL:
-        assert short.objective == pytest.approx(sol.objective, rel=1e-7, abs=1e-9)
-        for found in (sol, short):
-            _check_primal_feasible(model, found.values, tol=1e-6)
+    for steep in STEEP_MODES:
+        with mock.patch.object(simplex, "STEEP_AFTER", steep):
+            sol = PreparedLp(model).solve()
+            # a 3-pivot refactor window, so the window refactorization runs
+            # on models this small too, gives the same answer
+            with mock.patch.object(simplex, "REFACTOR_EVERY", 3):
+                short = PreparedLp(model).solve()
+        assert short.status == sol.status
+        if sol.status == OPTIMAL:
+            assert short.objective == pytest.approx(sol.objective, rel=1e-7, abs=1e-9)
+            for found in (sol, short):
+                _check_primal_feasible(model, found.values, tol=1e-6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -752,15 +825,40 @@ def highs_status(model):
     return (UNBOUNDED if run(np.zeros(n)).status == 0 else INFEASIBLE), None
 
 
+def assert_matches_highs(model, solutions):
+    status, objective = highs_status(model)
+    for sol in solutions:
+        assert sol.status == status
+        if status == OPTIMAL:
+            assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-9)
+
+
 @settings(max_examples=300, deadline=None)
 @given(open_lps())
 def test_status_and_optimum_match_highs(model):
     pytest.importorskip("scipy")
-    status, objective = highs_status(model)
-    sol = solve_lp(model)
-    assert sol.status == status
-    if status == OPTIMAL:
-        assert sol.objective == pytest.approx(objective, rel=1e-7, abs=1e-9)
+    assert_matches_highs(model, solves_both_ways(model))
+
+
+def test_blands_rule_matches_highs():
+    # Bland's rule from the first degenerate step on the same draws
+    pytest.importorskip("scipy")
+    solve = _Run.solve
+    switched = []
+
+    def spy(run):
+        status = solve(run)
+        switched.append(run.bland)
+        return status
+
+    @settings(max_examples=300, deadline=None)
+    @given(open_lps())
+    def check(model):
+        assert_matches_highs(model, solves_both_ways(model))
+
+    with mock.patch.object(simplex, "BLAND_AFTER", 0), mock.patch.object(_Run, "solve", spy):
+        check()
+    assert any(switched)
 
 
 # ----- working rows: lazy rows join only when the optimum breaks them -------
