@@ -4,11 +4,12 @@ Node selection is best-bound with one depth-first plunge after each incumbent
 improvement.  Branching fixes the single most fractional binary (ties broken
 by lowest variable index, which the model builders lay out in unit, period,
 segment order).  Child LPs restart from the parent's basis via dual simplex,
-reusing the kernel inverse it was returned with, rank-1 updates and all,
+reusing the basis inverse it was returned with, rank-1 updates and all,
 and the root LP from the caller's basis when one is given; the root LP's
-final basis comes back on the solution.  The caller may also hand in the
-prepared LP, so that a sequence of searches on edited copies of one model
-keeps the working rows the earlier ones found.
+final basis comes back on the solution with its inverse.  The caller may
+also hand in the prepared LP, so that a sequence of searches on edited
+copies of one model keeps the working rows the earlier ones found, and
+the next search's root reuses this root's inverse across the edit.
 A point becomes the incumbent only if it meets every model row and bound,
 rows the LP left out of its working set included.  The search is
 deterministic: identical inputs explore identical trees.
@@ -16,7 +17,7 @@ deterministic: identical inputs explore identical trees.
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,8 +123,9 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
 
     ``varmap`` enables the segment-rounding incumbent heuristic; pass None
     for a generic model.  ``warm_start`` is a model-shape ``Basis`` for the
-    root LP; the root LP's optimal basis is returned as ``root_basis``, without
-    the kernel inverse that only this search's own LP can use.
+    root LP; the root LP's optimal basis is returned as ``root_basis``, with
+    the inverse it carries (see ``simplex.Basis``), which a root LP of the
+    caller's prepared model, edited once since, reuses.
     ``prepared`` is ``PreparedLp(lp_relaxation(model))``, or one edited to
     match it, made by the caller so that its working rows carry over from
     one search to the next; None prepares the model here.
@@ -213,7 +215,7 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
             break
 
         if nodes == 1:
-            root_basis = replace(sol.basis, kernel=None)  # carried onto other models
+            root_basis = sol.basis
         obj = sol.objective
         if obj < incumbent_obj - PRUNE_EPS:
             vals = sol.values[bin_idx] if bin_idx.size else np.array([])

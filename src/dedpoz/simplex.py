@@ -29,10 +29,14 @@ Revised simplex with an explicit basis inverse.  Design points:
   factors the supplied basis, which may come from a model whose bounds,
   coefficients or rhs differ (a branch-and-bound child, the next pass of
   the loss loop); re-solving an already-optimal basis costs zero pivots.
-  A returned basis carries its kernel inverse, read off the inverse the
-  run ended with, and a warm start on the same prepared model (a
-  branch-and-bound child, the rounding heuristic) builds its inverse from
-  that kernel without inverting it again; so do rows that join a run.
+  A returned basis carries the inverse the run ended with, by its
+  nonzeros.  A warm start on the same prepared model (a branch-and-bound
+  child, the rounding heuristic) rebuilds its inverse from them with one
+  scatter and no inversion, bordered with the rows that joined since,
+  each holding its own slack; rows that join a run are bordered on the
+  inverse held the same way.  After one edit of the prepared model (the
+  next pass of the loss loop) the carried inverse takes a rank-|R|
+  Sherman-Morrison-Woodbury update for the |R| rows the edit rewrote.
   Either way, a boxed nonbasic column that prices with the wrong sign
   moves to its other bound, and any other one has its cost shifted by
   minus its reduced cost for the dual phase (cost shifting); the primal
@@ -55,10 +59,11 @@ Revised simplex with an explicit basis inverse.  Design points:
   order, it passes them, each column moving to its other bound (a bound
   flip, counted as an iteration), and runs Harris over the rest; a row that
   outlasts every breakpoint proves infeasibility;
-* most basic columns are slacks, i.e. unit vectors, so a
-  refactorization inverts only the kernel: the structural basic columns
-  restricted to the rows no unit column covers.  The rest of the inverse
-  follows from the kernel inverse by block elimination;
+* most basic columns are slacks, i.e. unit vectors, so a fresh
+  factorization (the crash, a recheck, the ``REFACTOR_EVERY`` window)
+  inverts only the kernel: the structural basic columns restricted to the
+  rows no unit column covers.  The rest of the inverse follows from the
+  kernel inverse by block elimination;
 * between refactorizations the inverse takes a rank-1 update per pivot,
   applied only where the entering column and the pivot row are nonzero
   (both are sparse on dispatch models);
@@ -66,7 +71,7 @@ Revised simplex with an explicit basis inverse.  Design points:
   the entering column and of the pivot row, and recomputed from
   scratch at every refactorization, at the latest ``REFACTOR_EVERY``
   rank-1 updates after the last inversion, counted along a chain of warm
-  starts that reuse a kernel;
+  starts that reuse a carried inverse (a Woodbury update counts |R|);
 * one rule reads every verdict (optimal, infeasible, unbounded): it stands
   once it checks against the working rows at the inverse the run holds.
   An optimum's recomputed iterate meets its bounds and rows and its
@@ -108,11 +113,12 @@ BASIC, AT_LOWER, AT_UPPER, FREE_ZERO = 0, 1, 2, 3
 class Basis:
     """Restart information: basic column indices plus a status code per column.
 
-    ``kernel`` is ``(model token, structural basic columns in position
-    order, kernel model rows, kernel inverse, rank-1 updates)``: the inverse
-    of the basis's structural block, read off the inverse the run ended
-    with, and the count of updates that inverse took since the kernel was
-    last inverted.  None if the run ended with no inverse."""
+    ``kernel`` is the inverse the run ended with, by its nonzeros in model
+    coordinates: ``(model token, model rows it covers, model column basic
+    at each of their positions, model row of each nonzero's basis position,
+    model row of each nonzero's column, nonzero values, rank-1 updates)``,
+    the last the count of updates since it was last inverted.  None if the
+    run ended with no inverse."""
 
     basic_idx: np.ndarray
     status: np.ndarray
@@ -240,7 +246,8 @@ class PreparedLp(_Form):
         self.constant = model.objective_constant
         self.active = np.array([not con.lazy for con in model.constraints], dtype=bool)
         self._work = None
-        self.token = object()  # names this model's scaled matrix in a basis kernel
+        self.token = object()  # names this model's scaled matrix in a carried inverse
+        self.edited = None  # (old token, rows rewritten, their old scaled entries)
 
     def _set_rows(self, model: MilpModel, which):
         """Take the coefficients and rhs of the model rows ``which``, in
@@ -305,12 +312,16 @@ class PreparedLp(_Form):
         """Take the coefficients and rhs of the rows ``rows`` and the bounds
         of the columns ``cols`` from ``model``, a model of this one's shape
         that matches it elsewhere, senses and lazy marks included, as a
-        fresh ``PreparedLp(model)`` would; the working rows stay, and
-        kernels of the old rows no longer fit."""
+        fresh ``PreparedLp(model)`` would; the working rows stay.  The old
+        token and the rows' old entries are kept, so that an inverse carried
+        from just before the edit can be corrected rather than redone."""
         if (len(model.variables), len(model.constraints)) != (self.n_struct, self.m):
             raise ValidationError("the edit's model has another shape")
         cols = np.asarray(cols, dtype=np.int64)
-        self._set_rows(model, np.unique(np.asarray(rows, dtype=np.int64)))
+        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        old = np.isin(self.rows_nz, rows)
+        self.edited = (self.token, rows, self.rows_nz[old], self.cols_nz[old], self.vals_nz[old])
+        self._set_rows(model, rows)
         self.lo_template[cols] = [model.variables[j].lb for j in cols]
         self.hi_template[cols] = [model.variables[j].ub for j in cols]
         self._work = None
@@ -381,7 +392,7 @@ class PreparedLp(_Form):
         return work, Basis(basic[basic >= 0], status[work.full_col], warm.kernel)
 
     def _model_basis(self, run) -> Basis:
-        """The run's basis in model shape, with its kernel: a row left out
+        """The run's basis in model shape, with its inverse: a row left out
         holds its slack basic at its own position."""
         work = run.prep
         n, m = self.n_struct, self.m
@@ -399,7 +410,9 @@ class PreparedLp(_Form):
         resid = max(float(np.abs(work.ax(x) - work.b).max(initial=0.0)),
                     float(self.row_violation(values)[~self.active].max(initial=0.0)))
         duals = np.zeros(self.m)
-        if run.b_inv is not None:
+        if run.fresh is not None and run.fresh[0] is work.c:
+            duals[work.rows] = run.fresh[1] / work.row_scale
+        elif run.b_inv is not None:
             duals[work.rows] = (run.b_inv.T @ work.c[run.basic]) / work.row_scale
         duals.setflags(write=False)
         objective = float(work.c @ x + work.constant)
@@ -435,6 +448,14 @@ def _row_norms(a) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
+def _zeroed(buf, m) -> np.ndarray:
+    """An m x m array of zeros: ``buf`` refilled if its shape holds."""
+    if buf is None or buf.shape != (m, m):
+        return np.zeros((m, m))
+    buf.fill(0.0)
+    return buf
+
+
 def _default_status(lo, hi) -> np.ndarray:
     """Per column: at the finite bound nearer zero, else free at zero."""
     fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
@@ -459,6 +480,9 @@ class _Run:
         self.status = np.empty(prep.ncols, dtype=np.int8)
         self.basic = np.empty(prep.m, dtype=np.int64)
         self.b_inv = None  # None while the basis is not factored
+        # (costs, y = B^-T c_B) of the last refresh, None once a pivot, flip
+        # or factorization has come since: x and y need no recomputing
+        self.fresh = None
         self.weights = None  # dual steepest-edge weights, kept after STEEP_AFTER pivots
         self.proof = None  # what the last infeasible or unbounded verdict rests on
         self.x = np.zeros(prep.ncols)
@@ -486,59 +510,149 @@ class _Run:
         return np.flatnonzero(~unit), u_pos, ru, np.flatnonzero(~covered)
 
     def _factor(self, known=None) -> bool:
-        """Invert the basis through its structural kernel; False, with no
-        inverse held, if the basis is singular.
+        """Invert the basis; False, with no inverse held, if it is singular.
+        A ``known`` inverse (see ``Basis``) that fits the basis is rebuilt
+        from its nonzeros instead (``_reload``).
 
-        With S the structural basic positions, U the slack ones (unit
-        columns), ``ru`` the rows U covers and K the rest, the inverse is
-        A[K,S]^-1 on (S,K), -A[ru,S] A[K,S]^-1 on (U,K), the identity on
-        (U,ru) and zero elsewhere.  A ``known`` kernel (see ``Basis``) of
-        this model, the same columns and the same rows stands for A[K,S]^-1,
-        with the rank-1 updates it has taken since its last inversion.
+        Otherwise through the structural kernel: with S the structural basic
+        positions, U the slack ones (unit columns), ``ru`` the rows U covers
+        and K the rest, the inverse is A[K,S]^-1 on (S,K), -A[ru,S] A[K,S]^-1
+        on (U,K), the identity on (U,ru) and zero elsewhere.
         """
         prep = self.prep
-        m = prep.m
-        b_inv, self.b_inv = self.b_inv, None  # refilled in place if its shape holds
-        blocks = self._blocks()
-        if blocks is None:
-            return False
-        s_pos, u_pos, ru, k_rows = blocks
-        s_cols, k_model = self.basic[s_pos], prep.rows[k_rows]
-        cols = prep.structural_columns(s_cols)
-        if (known is not None and known[0] is prep.token
-                and np.array_equal(known[1], s_cols) and np.array_equal(known[2], k_model)):
-            kernel_inv, updates = known[3], known[4]
-        else:
+        buf, self.b_inv = self.b_inv, None  # refilled in place if its shape holds
+        self.fresh = None
+        b_inv = None if known is None else self._reload(known, buf)
+        if b_inv is None:
+            blocks = self._blocks()
+            if blocks is None:
+                return False
+            s_pos, u_pos, ru, k_rows = blocks
+            cols = prep.structural_columns(self.basic[s_pos])
             try:
                 kernel_inv = np.linalg.inv(cols[k_rows])
             except np.linalg.LinAlgError:
                 return False
             if not np.all(np.isfinite(kernel_inv)):
                 return False
-            updates = 0
-        on_u = -(cols[ru] @ kernel_inv)
-        del cols  # fewer m-row arrays alive beside the new inverse
-        if b_inv is None or b_inv.shape != (m, m):
-            b_inv = np.zeros((m, m))
-        else:
-            b_inv.fill(0.0)
-        b_inv[s_pos[:, None], k_rows] = kernel_inv
-        b_inv[u_pos[:, None], k_rows] = on_u
-        b_inv[u_pos, ru] = 1.0
+            on_u = -(cols[ru] @ kernel_inv)
+            del cols  # fewer m-row arrays alive beside the new inverse
+            b_inv = _zeroed(buf, prep.m)
+            b_inv[s_pos[:, None], k_rows] = kernel_inv
+            b_inv[u_pos[:, None], k_rows] = on_u
+            b_inv[u_pos, ru] = 1.0
+            self.since_refactor = 0
         self.b_inv = b_inv
-        self.since_refactor = updates
         if self.weights is not None:
             self.weights = _row_norms(b_inv)
         return True
 
+    def _reload(self, known, buf):
+        """B^-1 rebuilt from a carried inverse (see ``Basis``) in ``buf`` if
+        its shape holds; None if it does not fit: another model (apart from
+        the one edit ``PreparedLp._edit`` recorded), rows that are not a
+        subset of the working rows, or another basic column at one of its
+        positions.
+
+        Each working row it does not cover must hold its own slack basic, so
+        its row of B^-1 is e_j - A[j,B] B^-1, formed from the nonzeros of the
+        rows of B^-1 its entries touch.  Rows the edit rewrote then take a
+        rank-|R| Sherman-Morrison-Woodbury update, counted as |R| updates;
+        None if its |R| x |R| system is singular or not finite."""
+        prep = self.prep
+        n, m = prep.n_struct, prep.m
+        token, rows, cols, at, of, vals, updates = known
+        edit = None
+        if token is not prep.token:
+            edit = prep.model.edited
+            if edit is None or edit[0] is not token:
+                return None
+        old = prep.from_full[n + rows] - n  # working row of each row covered
+        if np.any(old < 0):
+            return None
+        model_cols = prep.full_col[self.basic]
+        is_new = np.ones(m, dtype=bool)
+        is_new[old] = False
+        new = np.flatnonzero(is_new)
+        if not (np.array_equal(model_cols[old], cols)
+                and np.array_equal(model_cols[new], n + prep.rows[new])):
+            return None
+        b_inv = _zeroed(buf, m)
+        flat = b_inv.view()
+        flat.shape = -1
+        of_w = prep.from_full[n + of] - n
+        flat[(prep.from_full[n + at] - n) * m + of_w] = vals
+        pos_of = np.full(prep.ncols, -1, dtype=np.int64)
+        pos_of[self.basic] = np.arange(m)
+        if new.size:
+            flat[new * (m + 1)] = 1.0
+            e = is_new[prep.rows_nz] & (pos_of[prep.cols_nz] >= 0)
+            e_row, e_val = prep.rows_nz[e], prep.vals_nz[e]
+            key = prep.rows[pos_of[prep.cols_nz[e]]]  # model row of each position
+            first = np.searchsorted(at, key)
+            count = np.searchsorted(at, key, side="right") - first
+            which = np.repeat(np.arange(key.size), count)
+            nz = first[which] + np.arange(which.size) - (np.cumsum(count) - count)[which]
+            np.add.at(flat, e_row[which] * m + of_w[nz], -e_val[which] * vals[nz])
+        self.since_refactor = updates
+        if edit is None:
+            return b_inv
+        rewritten = edit[1][np.isin(edit[1], rows)]
+        if rewritten.size and not self._woodbury(b_inv, rewritten, edit[2:], pos_of):
+            return None
+        return b_inv
+
+    def _woodbury(self, b_inv, rewritten, old, pos_of) -> bool:
+        """Correct B^-1 in place for the model rows ``rewritten``, whose
+        entries were ``old`` (model rows, columns, values) and are now the
+        working form's: B' = B + E_R Delta, so B'^-1 = B^-1 - C S^-1 D with
+        C = B^-1 E_R, D = Delta B^-1 and S = I + D E_R.  C S^-1 D is
+        subtracted over its nonzero rows and columns, a block of rows at a
+        time, so no m x m temporary is made; False if S is singular."""
+        prep = self.prep
+        n, m, k = prep.n_struct, prep.m, rewritten.size
+        old_rows, old_cols, old_vals = old
+        r_w = prep.from_full[n + rewritten] - n
+        slot = np.full(prep.model.m, -1, dtype=np.int64)  # by model row
+        slot[rewritten] = np.arange(k)
+        new_slot, old_slot = slot[prep.rows[prep.rows_nz]], slot[old_rows]
+        new_on = (new_slot >= 0) & (pos_of[prep.cols_nz] >= 0)
+        old_on = (old_slot >= 0) & (pos_of[old_cols] >= 0)
+        keys = np.concatenate([new_slot[new_on] * m + pos_of[prep.cols_nz[new_on]],
+                               old_slot[old_on] * m + pos_of[old_cols[old_on]]])
+        delta = np.bincount(keys, weights=np.concatenate([prep.vals_nz[new_on],
+                                                          -old_vals[old_on]]),
+                            minlength=k * m).reshape(k, m)
+        touched = np.flatnonzero(delta.any(axis=0))
+        d = delta[:, touched] @ b_inv[touched]
+        c = b_inv[:, r_w]
+        try:
+            z = np.linalg.solve(np.eye(k) + d[:, r_w], d)
+        except np.linalg.LinAlgError:
+            return False
+        if not np.all(np.isfinite(z)):
+            return False
+        on_c = np.flatnonzero(c.any(axis=1))
+        on_z = np.flatnonzero(z.any(axis=0))
+        z = z[:, on_z]
+        step = max(1, (1 << 18) // max(on_z.size, 1))  # blocks of 2 MB at most
+        for s in range(0, on_c.size, step):
+            block = on_c[s:s + step]
+            b_inv[np.ix_(block, on_z)] -= c[block] @ z
+        self.since_refactor += k
+        return True
+
     def _kernel(self):
-        """The basis's kernel (see ``Basis``) read off the inverse held, or
-        None while the basis is not factored."""
+        """The inverse held, as a ``Basis`` carries it, or None while the
+        basis is not factored."""
         if self.b_inv is None:
             return None
-        s_pos, _, _, k_rows = self._blocks()
-        return (self.prep.token, self.basic[s_pos], self.prep.rows[k_rows],
-                self.b_inv[s_pos[:, None], k_rows], self.since_refactor)
+        prep, m = self.prep, self.prep.m
+        flat = self.b_inv.ravel()
+        nz = (flat != 0).nonzero()[0]  # far cheaper than flatnonzero on floats
+        at = nz // m
+        return (prep.token, prep.rows, prep.full_col[self.basic], prep.rows[at],
+                prep.rows[nz - at * m], flat[nz], self.since_refactor)
 
     def _update_b_inv(self, w, r, rows):
         """Rank-1 update of B^-1 for the exchange at position r, with
@@ -585,6 +699,7 @@ class _Run:
         y = self.b_inv.T @ c[self.basic]
         self.d = c - self.prep.aty(y)
         self.d[self.basic] = 0.0
+        self.fresh = (c, y)
 
     def _refactor(self, c) -> bool:
         """Factor the basis and refresh from it; False if it is singular."""
@@ -613,13 +728,10 @@ class _Run:
         """One tableau row: (B^-1 A)[r] across all columns."""
         prep = self.prep
         n = prep.n_struct
-        alpha = np.empty(prep.ncols)
-        alpha[:n] = (np.bincount(prep.cols_nz,
-                                 weights=prep.vals_nz * binv_r[prep.rows_nz],
-                                 minlength=n)
-                     if prep.rows_nz.size else 0.0)
-        alpha[n:] = binv_r
-        return alpha
+        return np.concatenate([np.bincount(prep.cols_nz,
+                                           weights=prep.vals_nz * binv_r[prep.rows_nz],
+                                           minlength=n)
+                               if prep.rows_nz.size else np.zeros(n), binv_r])
 
     def _exchange(self, r, q, w, alpha, step, to_lower, theta):
         """Basis exchange at position r: q enters, moved by ``step``, with
@@ -630,6 +742,7 @@ class _Run:
         there.  A ratio-test step ``theta`` of about zero counts toward the
         switch to Bland's rule."""
         leaving = int(self.basic[r])
+        self.fresh = None
         rows = w.nonzero()[0]
         self.x[self.basic[rows]] -= step * w[rows]
         self.x[q] += step
@@ -787,6 +900,7 @@ class _Run:
             if span <= theta_basic:
                 # the entering variable runs to its other bound: a bound flip
                 x[self.basic] = xb - span * delta
+                self.fresh = None
                 up = s > 0
                 x[q] = self.hi[q] if up else self.lo[q]
                 self.status[q] = AT_UPPER if up else AT_LOWER
@@ -824,15 +938,16 @@ class _Run:
             below = self.lo[self.basic] - xb
             above = xb - self.hi[self.basic]
             viol = np.maximum(below, above)
-            worst = (viol > FEAS_TOL).nonzero()[0]
-            if worst.size == 0:
-                return OPTIMAL
-            if self.bland:
-                r = int(worst[np.argmin(self.basic[worst])])
-            elif self.weights is not None:
-                r = int(worst[np.argmax(viol[worst] ** 2 / self.weights[worst])])
+            if self.bland or self.weights is not None:
+                worst = (viol > FEAS_TOL).nonzero()[0]
+                if worst.size == 0:
+                    return OPTIMAL
+                r = int(worst[self.basic[worst].argmin()] if self.bland else
+                        worst[(viol[worst] ** 2 / self.weights[worst]).argmax()])
             else:
-                r = int(np.argmax(viol))
+                r = int(viol.argmax()) if viol.size else -1
+                if r < 0 or not viol[r] > FEAS_TOL:
+                    return OPTIMAL
             is_below = below[r] >= above[r]
             alpha = self._alpha_row(self.b_inv[r])
             cand = (np.abs(alpha) > PIVOT_TOL).nonzero()[0]
@@ -845,7 +960,8 @@ class _Run:
             if cand.size == 0:
                 self.proof = r
                 return INFEASIBLE
-            ratios = np.maximum(d[cand] / denom, 0.0)
+            raw = d[cand] / denom
+            ratios = np.maximum(raw, 0.0)
             if self.weights is not None and not self.bland:
                 # each breakpoint passed cuts the row's infeasibility by
                 # |alpha_j| (u_j - l_j); a free column cannot be passed, nor
@@ -853,7 +969,7 @@ class _Run:
                 gain = np.abs(denom) * np.where(status == FREE_ZERO, np.inf,
                                                 self.hi[cand] - self.lo[cand])
                 outlasts = viol[r] - FEAS_TOL
-                if gain[np.argmin(ratios)] < outlasts:
+                if gain[ratios.argmin()] < outlasts:
                     order = np.argsort(ratios, kind="stable")
                     passed = int(np.count_nonzero(np.cumsum(gain[order]) < outlasts))
                     if passed == cand.size:
@@ -861,15 +977,15 @@ class _Run:
                         return INFEASIBLE
                     self._flip(cand[order[:passed]])
                     rest = order[passed:]
-                    cand, denom, ratios = cand[rest], denom[rest], ratios[rest]
+                    cand, denom, raw, ratios = cand[rest], denom[rest], raw[rest], ratios[rest]
             theta = float(ratios.min())
             if self.bland:
-                q = int(cand[np.argmax(ratios <= theta + 1e-12)])
+                q = int(cand[(ratios <= theta + 1e-12).argmax()])
             else:
                 # Harris, as in the primal, with the reduced costs relaxed
-                cap = float((d[cand] / denom + HARRIS_TOL / np.abs(denom)).min())
+                cap = float((raw + HARRIS_TOL / np.abs(denom)).min())
                 near = (ratios <= max(theta + 1e-12, cap)).nonzero()[0]
-                q = int(cand[near[np.argmax(np.abs(denom[near]))]])
+                q = int(cand[near[np.abs(denom[near]).argmax()]])
             w = self._w_col(q)
             leaving = self.basic[r]
             target = self.lo[leaving] if is_below else self.hi[leaving]
@@ -891,6 +1007,7 @@ class _Run:
         on = np.flatnonzero(moved)
         self.x[self.basic] -= self.b_inv[:, on] @ moved[on]
         self.x[cols] = to
+        self.fresh = None
         self.status[cols] = np.where(up, AT_UPPER, AT_LOWER)
         self.iters += cols.size
 
@@ -921,7 +1038,7 @@ class _Run:
             if self.b_inv is None:  # the recheck or the grown basis failed to factor
                 return ITERATION_LIMIT
             status = self._dual_start(self.prep.c)
-        if self.b_inv is not None:
+        if self.b_inv is not None and self.fresh is None:
             self.x = self._compute_x()
         return status
 
@@ -974,9 +1091,8 @@ class _Run:
 
     def _join(self, rows) -> bool:
         """Move onto the working rows grown by the model ``rows``, each new
-        row holding its own slack basic, and factor the grown basis from the
-        kernel of the old one, which it shares; False if all rows are in
-        already.
+        row holding its own slack basic, and border the inverse held with
+        them (``_reload``); False if all rows are in already.
 
         The new slacks have zero cost, so the duals of the old rows stay
         and the new rows price at zero: an optimal basis stays dual

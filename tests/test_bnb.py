@@ -17,7 +17,8 @@ from dedpoz.bnb import (
     BnbConfig,
     rounding_heuristic,
 )
-from dedpoz.milp import DEFAULT_TANGENT_STEPS, GE, lp_relaxation, tangent_gap_bound
+from dedpoz.milp import (BINARY, CONTINUOUS, DEFAULT_TANGENT_STEPS, GE, Constraint, MilpModel,
+                         Variable, lp_relaxation, tangent_gap_bound)
 from dedpoz.simplex import INFEASIBLE as LP_INFEASIBLE
 from dedpoz.simplex import OPTIMAL as LP_OPTIMAL
 from dedpoz.simplex import PreparedLp
@@ -60,6 +61,41 @@ def test_snapped_binaries_are_integral():
     assert np.abs(picked - np.round(picked)).max() <= 1e-9
     assert set(np.round(picked)) <= {0.0, 1.0}
     assert not sol.values.flags.writeable
+
+
+def snap_model(y_floor):
+    """min x + 2y over y binary and x in [0, 10], with y >= ``y_floor`` and
+    x + y >= 1.5: the LP optimum puts y on its floor."""
+    variables = (Variable("x", CONTINUOUS, 0.0, 10.0), Variable("y", BINARY, 0.0, 1.0))
+    rows = (Constraint("floor", ((1, 1.0),), GE, y_floor),
+            Constraint("cover", ((0, 1.0), (1, 1.0)), GE, 1.5))
+    return MilpModel(variables, rows, ((0, 1.0), (1, 2.0))).validate()
+
+
+@pytest.mark.parametrize("y_floor, pinned", [(0.9995, 1.0), (0.0005, None)])
+def test_binaries_integral_only_to_tolerance_are_snapped(y_floor, pinned):
+    # y sits 5e-4 from an integer: integral at int_tol = 1e-3 but not at the
+    # snap's 1e-9, so the search ends at the root and the snap re-solves
+    # with y pinned.  Pinned at 1 the LP is feasible and its answer is
+    # taken; pinned at 0 it breaks the floor, and the LP point stays.
+    model = snap_model(y_floor)
+    prep = PreparedLp(lp_relaxation(model))
+    root = prep.solve()
+    assert 1e-9 < abs(root.values[1] - round(root.values[1])) <= 1e-3
+    # the snap costs 5e-4 of 2.5, so a gap of 1e-3 still covers it
+    sol = solve_milp(model, None, BnbConfig(gap=1e-3, int_tol=1e-3))
+    assert sol.status == OPTIMAL_WITHIN_GAP and sol.nodes_explored == 1
+    if pinned is None:
+        assert prep.solve(lower=[0.0, 0.0], upper=[10.0, 0.0]).status == LP_INFEASIBLE
+        np.testing.assert_array_equal(sol.values, root.values)
+        assert sol.objective == root.objective
+    else:
+        again = prep.solve(lower=[0.0, pinned], upper=[10.0, pinned])
+        assert again.status == LP_OPTIMAL
+        assert sol.values[1] == pinned
+        np.testing.assert_allclose(sol.values, again.values, rtol=0.0, atol=1e-12)
+        assert sol.objective == pytest.approx(again.objective, rel=1e-12)
+        assert sol.objective > root.objective + 1e-4
 
 
 def test_deterministic_replay():
@@ -325,14 +361,26 @@ def test_kernel_reuse_keeps_the_answer_and_inverts_only_the_root():
     assert branched >= 5 and saved >= 25
 
 
-def test_root_basis_is_returned_without_its_kernel():
+def test_root_basis_is_returned_with_its_inverse():
     rng = np.random.default_rng(1502)
     model, varmap = build_milp1(random_lossy_instance(rng))
     root = PreparedLp(lp_relaxation(model)).solve()
-    assert root.basis.kernel is not None
-    sol = solve_milp(model, varmap)
-    assert sol.root_basis is not None and sol.root_basis.kernel is None
+    prep = PreparedLp(lp_relaxation(model))
+    sol = solve_milp(model, varmap, prepared=prep)
+    assert sol.root_basis is not None
     np.testing.assert_array_equal(sol.root_basis.basic_idx, root.basis.basic_idx)
+    # the inverse it carries is of the caller's prepared model, and inverts
+    # the root basis over the rows it covers
+    token, rows, cols, at, of, vals, _ = sol.root_basis.kernel
+    assert token is prep.token
+    np.testing.assert_array_equal(cols, sol.root_basis.basic_idx[rows])
+    n, k = prep.n_struct, rows.size
+    full = np.zeros((prep.m, prep.ncols))
+    full[prep.rows_nz, prep.cols_nz] = prep.vals_nz
+    full[np.arange(prep.m), n + np.arange(prep.m)] = 1.0
+    b_inv = np.zeros((k, k))
+    b_inv[np.searchsorted(rows, at), np.searchsorted(rows, of)] = vals
+    np.testing.assert_allclose(b_inv @ full[np.ix_(rows, cols)], np.eye(k), rtol=0.0, atol=1e-9)
 
 
 def test_loss_off_layout_solves_like_milp1():

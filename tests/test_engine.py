@@ -431,6 +431,27 @@ def test_lossy_fixture_keeps_its_answers():
     assert report.surrogate_objective == pytest.approx(LOSSY_FIXTURE_SURROGATE, rel=1e-6)
 
 
+# the refinement loop's answers on tests/fixtures/ded_10x24_lossy_seed1.json
+# with IaConfig(), recorded when the fixture was written
+DED_10X24_LOSSY_SURROGATE = 25366.256938318802
+
+
+def test_paper_scale_lossy_fixture_keeps_its_answers():
+    instance = load_instance(Path(__file__).parent / "fixtures"
+                             / "ded_10x24_lossy_seed1.json")
+    config = IaConfig()
+    report = solve_ded_with_loss(instance, config)
+    assert report.terminated_by == "epsilon"
+    assert report.chosen_k == 3
+    assert len(report.iterations) == 3
+    assert (abs(report.surrogate_objective - DED_10X24_LOSSY_SURROGATE)
+            <= 0.1 * config.gap * DED_10X24_LOSSY_SURROGATE)
+    assert report.audit.feasible
+    gap = report.cost - report.surrogate_objective
+    bound = tangent_gap_bound(instance, report.schedule, config.tangent_steps)
+    assert 0.0 <= gap <= bound + config.gap * report.cost
+
+
 def assert_agrees_with_grid_dp(fixture):
     instance = load_instance(Path(__file__).parent / "fixtures" / fixture)
     config = IaConfig(gap=1e-4, tangent_steps=4)

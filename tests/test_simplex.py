@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedpoz import ValidationError, build_milp1, duplicate_system, simplex
-from dedpoz.milp import BINARY, CONTINUOUS, EQ, GE, LE, Constraint, MilpModel, Variable, lp_relaxation
+from dedpoz import ValidationError, build_milp1, build_milp2, duplicate_system, simplex
+from dedpoz.milp import (BINARY, CONTINUOUS, EQ, GE, LE, Constraint, MilpModel, Variable,
+                         _reanchor, lp_relaxation)
 from dedpoz.simplex import (
     AT_LOWER,
     AT_UPPER,
@@ -27,7 +28,7 @@ from dedpoz.simplex import (
     _WorkingRows,
     solve_lp,
 )
-from support import (enumeration_milp_min, random_lossless_instance,
+from support import (enumeration_milp_min, random_lossless_instance, random_lossy_instance,
                      symmetric_three_unit, vertex_enumeration_min)
 
 
@@ -921,9 +922,10 @@ def test_warm_start_from_a_basis_saved_before_rows_were_added(monkeypatch):
     for clo, chi in children[1:]:
         prep.solve(clo, chi)
     assert np.all(prep.active >= rows_then)
-    # rows joined ahead of some kernel row, so its working position moved
+    # rows joined ahead of some row the carried inverse covers, so its
+    # working position moved
     joined = np.flatnonzero(prep.active & ~rows_then)
-    assert joined.size and joined.min() < saved.basis.kernel[2].max()
+    assert joined.size and joined.min() < saved.basis.kernel[1].max()
     eager = PreparedLp(unmarked(relaxed))
     loads = spy_warm_loads(monkeypatch)
     for clo, chi in children:
@@ -1225,6 +1227,32 @@ def test_child_warm_start_reuses_its_parents_kernel_inverse(monkeypatch):
     assert len(loads) == len(children)
 
 
+def test_inverse_carried_across_one_edit_is_corrected_not_redone(monkeypatch):
+    # the next lossy pass starts from the last root's inverse, corrected for
+    # the rows the edit rewrote; one two edits old is refused
+    instance = random_lossy_instance(np.random.default_rng(2105), n_units=4, n_periods=3)
+    model, varmap = build_milp2(instance, 4, None)
+    prep = PreparedLp(lp_relaxation(model))
+    root = prep.solve()
+    assert root.status == OPTIMAL
+    anchors = [varmap.extract_schedule(root.values).p]
+    anchors.append(0.9 * anchors[0] + 0.1 * instance.p_maxs)
+    loads = spy_warm_loads(monkeypatch)
+    bases = [root.basis]
+    for anchor in anchors:
+        model, rows = _reanchor(model, varmap, instance, anchor)
+        prep._edit(model, rows, varmap.loss_quad)
+        cold = PreparedLp(lp_relaxation(model)).solve()
+        for basis in bases:
+            warm = prep.solve(warm_start=basis)
+            assert warm.status == cold.status == OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        bases = [basis, warm.basis]
+    # the root's inverse is reused after the first edit and refused after the
+    # second; the basis solved between the edits is reused
+    assert loads == [(0, True), (1, True), (0, True)]
+
+
 def first_that_factors(prep, basic, swaps):
     """``basic`` after the first swap ``(position, column)`` that leaves a
     basis that factors."""
@@ -1237,21 +1265,25 @@ def first_that_factors(prep, basic, swaps):
 
 
 def test_kernel_is_not_reused_off_its_own_model_and_basis(monkeypatch):
-    _, relaxed, children = ladder_children()
-    relaxed = unmarked(relaxed)  # so both prepared copies hold every row
+    _, marked, children = ladder_children()
+    relaxed = unmarked(marked)  # so both prepared copies hold every row
     prep = PreparedLp(relaxed)
     parent = prep.solve()
     child = prep.solve(*children[0], warm_start=parent.basis)
     assert child.pivots > 0
     basis = parent.basis
-    # the same structural columns over other rows (a kernel row's slack
-    # replaces another slack), and another structural column over the
-    # same rows
-    n, basic = prep.n_struct, basis.basic_idx
-    off_rows = first_that_factors(prep, basic, [(p, n + basis.kernel[2][0])
+    # the same structural columns over other rows (the slack of a row no
+    # slack covers replaces another slack), and another structural column
+    # over the same rows
+    n, m, basic = prep.n_struct, prep.m, basis.basic_idx
+    uncovered = np.setdiff1d(np.arange(m), basic[basic >= n] - n)
+    off_rows = first_that_factors(prep, basic, [(p, n + uncovered[0])
                                                 for p in np.flatnonzero(basic >= n)])
     off_cols = first_that_factors(prep, basic, [(np.flatnonzero(basic < n)[0], j)
                                                 for j in np.setdiff1d(np.arange(n), basic)])
+    # a copy that leaves some rows out, handed the inverse over every row
+    # under its own token, so that only the rows differ
+    lazy = PreparedLp(marked)
     loads = spy_warm_loads(monkeypatch)
     # a kernel from another prepared copy of the same model
     other = PreparedLp(relaxed).solve(*children[0], warm_start=basis)
@@ -1261,8 +1293,11 @@ def test_kernel_is_not_reused_off_its_own_model_and_basis(monkeypatch):
                                           basis.kernel))
     off = [prep.solve(warm_start=Basis(b, basis.status, basis.kernel))
            for b in (off_rows, off_cols)]
-    assert loads == [(1, True)] * 5
+    assert not lazy.active.all()
+    over = lazy.solve(warm_start=Basis(basis.basic_idx, basis.status,
+                                       (lazy.token,) + basis.kernel[1:]))
+    assert loads == [(1, True)] * 6
     for sol, want in ((other, child), (rebuilt, child), (swapped, parent),
-                      (off[0], parent), (off[1], parent)):
+                      (off[0], parent), (off[1], parent), (over, parent)):
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(want.objective, rel=1e-9)
