@@ -67,6 +67,13 @@ Revised simplex with an explicit basis inverse.  Design points:
 * between refactorizations the inverse takes a rank-1 update per pivot,
   applied only where the entering column and the pivot row are nonzero
   (both are sparse on dispatch models);
+* a product with the inverse is nonzero where it exceeds ``ZERO_TOL`` in
+  magnitude: the entering column w = B^-1 a_q, the pivot row, the
+  inverse a basis carries and the Woodbury factors.  Exact cancellations
+  leave round-off near 1e-16 that later updates multiply again (bands
+  near 1e-31, 1e-48, ...); read as support, it made most of each update
+  and of each carried inverse.  The inverse held keeps those entries, and
+  nothing zeroes them;
 * the iterate and reduced costs are updated per pivot, on the nonzeros of
   the entering column and of the pivot row, and recomputed from
   scratch at every refactorization, at the latest ``REFACTOR_EVERY``
@@ -98,6 +105,7 @@ ITERATION_LIMIT = "iteration_limit"
 FEAS_TOL = 1e-7
 DUAL_TOL = 1e-8
 PIVOT_TOL = 1e-9
+ZERO_TOL = 1e-14
 HARRIS_TOL = 1e-9
 DEGEN_STEP = 1e-10
 BLAND_AFTER = 1000
@@ -484,6 +492,7 @@ class _Run:
         # or factorization has come since: x and y need no recomputing
         self.fresh = None
         self.weights = None  # dual steepest-edge weights, kept after STEEP_AFTER pivots
+        self.dirn = None  # per column, the way the dual ratio test may move it (see _dual)
         self.proof = None  # what the last infeasible or unbounded verdict rests on
         self.x = np.zeros(prep.ncols)
         self.d = np.zeros(prep.ncols)
@@ -632,8 +641,8 @@ class _Run:
             return False
         if not np.all(np.isfinite(z)):
             return False
-        on_c = np.flatnonzero(c.any(axis=1))
-        on_z = np.flatnonzero(z.any(axis=0))
+        on_c = np.flatnonzero((np.abs(c) > ZERO_TOL).any(axis=1))
+        on_z = np.flatnonzero((np.abs(z) > ZERO_TOL).any(axis=0))
         z = z[:, on_z]
         step = max(1, (1 << 18) // max(on_z.size, 1))  # blocks of 2 MB at most
         for s in range(0, on_c.size, step):
@@ -650,19 +659,23 @@ class _Run:
         prep, m = self.prep, self.prep.m
         flat = self.b_inv.ravel()
         nz = (flat != 0).nonzero()[0]  # far cheaper than flatnonzero on floats
+        vals = flat[nz]
+        real = np.abs(vals) > ZERO_TOL  # on the few nonzeros, not on all m^2
+        nz, vals = nz[real], vals[real]
         at = nz // m
         return (prep.token, prep.rows, prep.full_col[self.basic], prep.rows[at],
-                prep.rows[nz - at * m], flat[nz], self.since_refactor)
+                prep.rows[nz - at * m], vals, self.since_refactor)
 
     def _update_b_inv(self, w, r, rows):
         """Rank-1 update of B^-1 for the exchange at position r, with
-        w = B^-1 a_q nonzero on ``rows``; the entries skipped would subtract
-        an exact zero.  Row i becomes rho_i - w_i rho, rho = rho_r / w_r, so
-        a kept weight beta_i = |rho_i|^2 takes -2 w_i (rho_i . rho) +
-        w_i^2 |rho|^2, read off the block the update gathers anyway."""
+        w = B^-1 a_q above ZERO_TOL on ``rows``, over the columns where rho
+        is; the entries skipped are round-off.  Row i becomes rho_i - w_i
+        rho, rho = rho_r / w_r, so a kept weight beta_i = |rho_i|^2 takes
+        -2 w_i (rho_i . rho) + w_i^2 |rho|^2, read off the block the update
+        gathers anyway."""
         b_inv, beta = self.b_inv, self.weights
         row = b_inv[r] / w[r]
-        cols = row.nonzero()[0]
+        cols = (np.abs(row) > ZERO_TOL).nonzero()[0]
         rho, w_on = row[cols], w[rows]
         # one flat index is cheaper than a 2-D gather; setting the shape
         # of a view raises rather than copy, so the writes reach b_inv
@@ -736,14 +749,14 @@ class _Run:
     def _exchange(self, r, q, w, alpha, step, to_lower, theta):
         """Basis exchange at position r: q enters, moved by ``step``, with
         w = B^-1 a_q and ``alpha`` the old tableau row r; the leaving column
-        goes to its lower or upper bound.  The iterate moves on the nonzeros
-        of w and the reduced costs on those of alpha: the leaving column
-        picks up -d_q / w_r, q goes to zero and the other basic columns stay
-        there.  A ratio-test step ``theta`` of about zero counts toward the
-        switch to Bland's rule."""
+        goes to its lower or upper bound.  The iterate moves on the rows of w
+        above ZERO_TOL and the reduced costs along alpha: the leaving column
+        picks up -d_q / w_r and the basic columns stay at zero.  A
+        ratio-test step ``theta`` of about zero counts toward the switch to
+        Bland's rule."""
         leaving = int(self.basic[r])
         self.fresh = None
-        rows = w.nonzero()[0]
+        rows = (np.abs(w) > ZERO_TOL).nonzero()[0]
         self.x[self.basic[rows]] -= step * w[rows]
         self.x[q] += step
         self.x[leaving] = self.lo[leaving] if to_lower else self.hi[leaving]
@@ -752,10 +765,11 @@ class _Run:
         self.status[leaving] = AT_LOWER if to_lower else AT_UPPER
         dq = self.d[q]
         if dq != 0.0:
-            on = alpha.nonzero()[0]
-            on = on[self.status[on] != BASIC]
-            self.d[on] -= (dq / w[r]) * alpha[on]
-        self.d[q] = 0.0
+            self.d -= (dq / w[r]) * alpha
+        self.d[self.basic] = 0.0
+        self.dirn[q] = 0.0
+        self.dirn[leaving] = (0.0 if self.lo[leaving] == self.hi[leaving]
+                              else 1.0 if to_lower else -1.0)
         self._update_b_inv(w, r, rows)
         self.pivots += 1
         if theta <= DEGEN_STEP:
@@ -923,8 +937,18 @@ class _Run:
 
     def _dual(self, c) -> str:
         """Dual simplex to primal feasibility, with the pricing and the
-        long step the module docstring describes."""
+        long step the module docstring describes.
+
+        ``dirn`` is +1 on the columns that may only rise, -1 on those that
+        may only fall and 0 on basic and fixed ones, so the ratio test's
+        candidates are where alpha * dirn has the leaving row's sign and
+        exceeds PIVOT_TOL; the free nonbasic columns, which may move either
+        way, are taken apart."""
         movable = self.lo < self.hi
+        status = self.status
+        self.dirn = ((movable & (status == AT_LOWER)).astype(float)
+                     - (movable & (status == AT_UPPER)))
+        free = np.flatnonzero(movable & (status == FREE_ZERO))
         self._refresh(c)
         while True:
             if self.iters >= self.max_iters:
@@ -950,24 +974,24 @@ class _Run:
                     return OPTIMAL
             is_below = below[r] >= above[r]
             alpha = self._alpha_row(self.b_inv[r])
-            cand = (np.abs(alpha) > PIVOT_TOL).nonzero()[0]
-            cand = cand[movable[cand] & (self.status[cand] != BASIC)]
-            status = self.status[cand]
-            denom = -alpha[cand] if is_below else alpha[cand]
-            # a column at its lower bound may rise, one at its upper may fall
-            fits = (status == FREE_ZERO) | ((status == AT_LOWER) == (denom > 0.0))
-            cand, status, denom = cand[fits], status[fits], denom[fits]
+            signed = alpha * self.dirn
+            cand = (signed < -PIVOT_TOL if is_below else signed > PIVOT_TOL).nonzero()[0]
+            if free.size:
+                free = free[self.status[free] == FREE_ZERO]
+                cand = np.union1d(cand, free[np.abs(alpha[free]) > PIVOT_TOL])
             if cand.size == 0:
                 self.proof = r
                 return INFEASIBLE
+            denom = -alpha[cand] if is_below else alpha[cand]
+            mag = np.abs(denom)
             raw = d[cand] / denom
             ratios = np.maximum(raw, 0.0)
             if self.weights is not None and not self.bland:
                 # each breakpoint passed cuts the row's infeasibility by
                 # |alpha_j| (u_j - l_j); a free column cannot be passed, nor
                 # one that leaves the row within FEAS_TOL of its bound
-                gain = np.abs(denom) * np.where(status == FREE_ZERO, np.inf,
-                                                self.hi[cand] - self.lo[cand])
+                gain = mag * np.where(self.dirn[cand] == 0.0, np.inf,
+                                      self.hi[cand] - self.lo[cand])
                 outlasts = viol[r] - FEAS_TOL
                 if gain[ratios.argmin()] < outlasts:
                     order = np.argsort(ratios, kind="stable")
@@ -977,15 +1001,15 @@ class _Run:
                         return INFEASIBLE
                     self._flip(cand[order[:passed]])
                     rest = order[passed:]
-                    cand, denom, raw, ratios = cand[rest], denom[rest], raw[rest], ratios[rest]
+                    cand, mag, raw, ratios = cand[rest], mag[rest], raw[rest], ratios[rest]
             theta = float(ratios.min())
             if self.bland:
                 q = int(cand[(ratios <= theta + 1e-12).argmax()])
             else:
                 # Harris, as in the primal, with the reduced costs relaxed
-                cap = float((raw + HARRIS_TOL / np.abs(denom)).min())
+                cap = float((raw + HARRIS_TOL / mag).min())
                 near = (ratios <= max(theta + 1e-12, cap)).nonzero()[0]
-                q = int(cand[near[np.abs(denom[near]).argmax()]])
+                q = int(cand[near[mag[near].argmax()]])
             w = self._w_col(q)
             leaving = self.basic[r]
             target = self.lo[leaving] if is_below else self.hi[leaving]
@@ -1009,6 +1033,7 @@ class _Run:
         self.x[cols] = to
         self.fresh = None
         self.status[cols] = np.where(up, AT_UPPER, AT_LOWER)
+        self.dirn[cols] = -self.dirn[cols]
         self.iters += cols.size
 
     # ----- driver ----------------------------------------------------------

@@ -98,6 +98,18 @@ def test_binaries_integral_only_to_tolerance_are_snapped(y_floor, pinned):
         assert sol.objective > root.objective + 1e-4
 
 
+def test_snap_that_costs_more_than_the_gap_keeps_a_closed_search_optimal():
+    # the search closes at the root on y = 0.9995 (objective 2.4995); the
+    # snap to y = 1 costs 2e-4 of 2.5, twice the default gap, but no limit
+    # stopped the search, so its status stands and the objective is the
+    # snapped one
+    sol = solve_milp(snap_model(0.9995), None, BnbConfig(int_tol=1e-3))
+    assert sol.status == OPTIMAL_WITHIN_GAP and not sol.limit_hit
+    assert sol.objective == pytest.approx(2.5, rel=1e-12)
+    assert sol.values[1] == 1.0
+    assert sol.rel_gap == pytest.approx(2e-4, rel=1e-6)
+
+
 def test_deterministic_replay():
     rng = np.random.default_rng(77)
     instance = random_lossless_instance(rng)
