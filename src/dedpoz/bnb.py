@@ -142,8 +142,8 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
     """
     config = config or BnbConfig()
     start = time.perf_counter()
-    bin_idx = np.array([j for j, v in enumerate(model.variables) if v.kind == BINARY],
-                       dtype=int)
+    a = model.arrays
+    bin_idx = np.flatnonzero(a.kind == BINARY)
     if prepared is None:
         prep = PreparedLp(lp_relaxation(model))
     elif (prepared.n_struct, prepared.m) != (model.n_variables, model.n_constraints):
@@ -152,8 +152,7 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
             f"the model {model.n_variables} and {model.n_constraints}")
     else:
         prep = prepared
-    lo0 = np.array([v.lb for v in model.variables], dtype=float)
-    hi0 = np.array([v.ub for v in model.variables], dtype=float)
+    lo0, hi0 = a.lb, a.ub
 
     incumbent_vals = None
     incumbent_obj = np.inf

@@ -90,12 +90,13 @@ Revised simplex with an explicit basis inverse.  Design points:
   and a basis that fails to factor ends the solve with it.
 """
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .milp import BINARY, EQ, GE, LE, MilpModel
+from .milp import BINARY, GE, LE, MilpModel
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -187,11 +188,13 @@ class _WorkingRows(_Form):
     """The rows of a prepared model picked by ``keep``, cut out with masks:
     the form every simplex run works on.  ``rows`` lists the model rows it
     holds, ``full_col`` maps each of its columns to the model column and
-    ``from_full`` maps back (-1 for the slacks of rows left out)."""
+    ``from_full`` maps back (-1 for the slacks of rows left out).  ``model``
+    refers to the prepared model weakly: it holds its working rows, and a
+    dropped one is then freed at once, not at the next cycle collection."""
 
     def __init__(self, prep, keep):
         n = prep.n_struct
-        self.model, self.token = prep, prep.token
+        self.model, self.token = weakref.proxy(prep), prep.token
         self.rows = np.flatnonzero(keep)
         self.n_struct, self.m = n, self.rows.size
         self.ncols = n + self.m
@@ -228,110 +231,79 @@ class PreparedLp(_Form):
     """
 
     def __init__(self, model: MilpModel):
-        if any(v.kind == BINARY for v in model.variables):
+        a = model.arrays
+        if (a.kind == BINARY).any():
             raise ValidationError("model contains binaries; relax them first "
                                   "(see lp_relaxation)")
-        n = len(model.variables)
-        m = len(model.constraints)
+        n, m = a.lb.size, a.rhs.size
         self.n_struct = n
         self.m = m
         self.ncols = n + m
-        self.lo_template = np.empty(self.ncols)
-        self.hi_template = np.empty(self.ncols)
-        self.lo_template[:n] = [v.lb for v in model.variables]
-        self.hi_template[:n] = [v.ub for v in model.variables]
-        for r, con in enumerate(model.constraints):
-            self.lo_template[n + r] = -np.inf if con.sense == GE else 0.0
-            self.hi_template[n + r] = np.inf if con.sense == LE else 0.0
-        self.rows_nz = self.cols_nz = np.zeros(0, dtype=np.int64)
-        self.vals_nz = np.zeros(0)
-        self.b, self.row_scale = np.zeros(m), np.ones(m)
-        self._set_rows(model, np.arange(m))
-        c = np.zeros(self.ncols)
-        for j, coef in model.objective:
-            c[j] += coef
-        self.c = c
+        self.lo_template = np.concatenate([a.lb, np.where(a.sense == GE, -np.inf, 0.0)])
+        self.hi_template = np.concatenate([a.ub, np.where(a.sense == LE, np.inf, 0.0)])
+        self._load_rows(model)
+        self.c = np.zeros(self.ncols)
+        self.c[:n] = np.bincount(a.obj_cols, weights=a.obj_vals, minlength=n)
         self.constant = model.objective_constant
-        self.active = np.array([not con.lazy for con in model.constraints], dtype=bool)
+        self.active = ~a.lazy
         self._work = None
         self.token = object()  # names this model's scaled matrix in a carried inverse
         self.edited = None  # (old token, rows rewritten, their old scaled entries)
 
-    def _set_rows(self, model: MilpModel, which):
-        """Take the coefficients and rhs of the model rows ``which``, in
-        increasing order, from ``model``: coalesce and scale their entries
-        alone, splice them into the row-ordered arrays in place of the old
-        ones, and index the whole matrix by column again."""
-        n = self.n_struct
-        rows, cols, vals = _entries(model.constraints, which.tolist())
-        scale = np.ones(which.size)
-        if rows.size:
-            # coalesce duplicate (row, col) entries so downstream scatter
-            # operations see one coefficient per cell; the sorted keys leave
-            # the entries in row order
-            keys = rows * n + cols
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            vals = np.bincount(inverse, weights=vals, minlength=uniq.size)
-            rows = (uniq // n).astype(np.int64)
-            cols = (uniq % n).astype(np.int64)
-            mag = np.abs(vals)
-            starts = np.searchsorted(rows, which)
-            nonempty = np.searchsorted(rows, which, side="right") > starts
-            row_max = np.ones(which.size)
-            row_min = np.ones(which.size)
-            row_max[nonempty] = np.maximum.reduceat(mag, starts[nonempty])
-            row_min[nonempty] = np.minimum.reduceat(mag, starts[nonempty])
-            scale = np.clip(np.sqrt(row_max * row_min), 1e-8, 1e8)
-        self.row_scale[which] = scale
+    def _load_rows(self, model: MilpModel):
+        """Take the coefficients and rhs of every row from ``model``,
+        coalesce and scale them, and index them by row and by column."""
+        n, m = self.n_struct, self.m
+        a = model.arrays
+        # coalesce duplicate (row, col) entries so downstream scatter
+        # operations see one coefficient per cell, each cell's entries
+        # summed in their order; sorted cells leave the entries in row order
+        keys = a.rows * n + a.cols
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        vals = np.bincount(first.cumsum() - 1, weights=a.vals[order])
+        rows, cols = np.divmod(keys[first], n)
+        mag = np.abs(vals)
+        starts = rows.searchsorted(np.arange(m + 1))
+        nonempty = starts[1:] > starts[:-1]
+        row_max, row_min = np.ones(m), np.ones(m)
+        row_max[nonempty] = np.maximum.reduceat(mag, starts[:-1][nonempty])
+        row_min[nonempty] = np.minimum.reduceat(mag, starts[:-1][nonempty])
+        self.row_scale = np.sqrt(row_max * row_min).clip(1e-8, 1e8)
+        self.b = a.rhs / self.row_scale
         vals = vals / self.row_scale[rows]
-        rebuilt = np.zeros(self.m, dtype=bool)
-        rebuilt[which] = True
-        kept = ~rebuilt[self.rows_nz]
-        at = np.searchsorted(self.rows_nz[kept], rows) + np.arange(rows.size)
-        fresh = np.zeros(np.count_nonzero(kept) + rows.size, dtype=bool)
-        fresh[at] = True
-
-        def spliced(old, new):
-            out = np.empty(fresh.size, dtype=old.dtype)
-            out[at], out[~fresh] = new, old[kept]
-            return out
-
-        rows, cols, vals = (spliced(self.rows_nz, rows), spliced(self.cols_nz, cols),
-                            spliced(self.vals_nz, vals))
-        self.b[which] = np.array([model.constraints[r].rhs for r in which.tolist()],
-                                 dtype=float) / scale
         # the entries are in row order and each cell appears once, so a
         # stable sort by column leaves each column's entries in row order
-        csc = np.argsort(cols, kind="stable")
+        csc = cols.argsort(kind="stable")
         self.col_rows = rows[csc]
         self.col_vals = vals[csc]
-        self.col_ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(cols, minlength=n))]).astype(np.int64)
+        self.col_ptr = cols[csc].searchsorted(np.arange(n + 1))
         self.rows_nz = rows
         self.cols_nz = cols
         self.vals_nz = vals
-        norm_sq = (np.bincount(cols, weights=vals * vals, minlength=n)
-                   if rows.size else np.zeros(n))
-        self.col_scale = np.empty(self.ncols)
-        self.col_scale[:n] = 1.0 + np.sqrt(norm_sq)
-        self.col_scale[n:] = 2.0
+        self.col_scale = np.concatenate(
+            [1.0 + np.sqrt(np.bincount(cols, weights=vals * vals, minlength=n)),
+             np.full(m, 2.0)])
 
     def _edit(self, model: MilpModel, rows, cols):
-        """Take the coefficients and rhs of the rows ``rows`` and the bounds
-        of the columns ``cols`` from ``model``, a model of this one's shape
-        that matches it elsewhere, senses and lazy marks included, as a
+        """Take the rows and the bounds of the columns ``cols`` from
+        ``model``, a model of this one's shape that differs from it only in
+        the coefficients and rhs of the rows ``rows`` and those bounds, as a
         fresh ``PreparedLp(model)`` would; the working rows stay.  The old
         token and the rows' old entries are kept, so that an inverse carried
         from just before the edit can be corrected rather than redone."""
-        if (len(model.variables), len(model.constraints)) != (self.n_struct, self.m):
+        a = model.arrays
+        if (a.lb.size, a.rhs.size) != (self.n_struct, self.m):
             raise ValidationError("the edit's model has another shape")
         cols = np.asarray(cols, dtype=np.int64)
         rows = np.unique(np.asarray(rows, dtype=np.int64))
         old = np.isin(self.rows_nz, rows)
         self.edited = (self.token, rows, self.rows_nz[old], self.cols_nz[old], self.vals_nz[old])
-        self._set_rows(model, rows)
-        self.lo_template[cols] = [model.variables[j].lb for j in cols]
-        self.hi_template[cols] = [model.variables[j].ub for j in cols]
+        self._load_rows(model)
+        self.lo_template[cols] = a.lb[cols]
+        self.hi_template[cols] = a.ub[cols]
         self._work = None
         self.token = object()
 
@@ -430,19 +402,6 @@ class PreparedLp(_Form):
             objective = -np.inf
         return LpSolution(status, values, objective, duals, self._model_basis(run),
                           run.pivots, run.iters, resid)
-
-
-def _entries(constraints, rows) -> tuple:
-    """The coordinate arrays ``(rows, cols, vals)`` of ``constraints[r]``
-    for each r in ``rows``, in that order."""
-    r_idx, c_idx, vals = [], [], []
-    for r in rows:
-        for j, coef in constraints[r].coeffs:
-            r_idx.append(r)
-            c_idx.append(j)
-            vals.append(coef)
-    return (np.array(r_idx, dtype=np.int64), np.array(c_idx, dtype=np.int64),
-            np.array(vals, dtype=float))
 
 
 def solve_lp(model: MilpModel, warm_start: Basis | None = None,
@@ -785,33 +744,45 @@ class _Run:
         epigraphs), on the row where its entry is largest; then, on each
         row whose slack is fixed (an equality row), the nonbasic column
         whose entry there is largest.  Each pick's row is zero in the
-        columns picked before it, so the basis is triangular."""
+        columns picked before it, so the basis is triangular.  Ties go to
+        a column's first row and a row's first column.  The scans run over
+        the coordinate arrays taken once as lists."""
         prep = self.prep
         n, m = prep.n_struct, prep.m
         self.status = _default_status(self.lo, self.hi)
-        self.basic = n + np.arange(m)
-        touched = np.zeros(m, dtype=bool)
-        picked = np.zeros(n, dtype=bool)
+        basic = list(range(n, n + m))
+        col_ptr, col_rows = prep.col_ptr.tolist(), prep.col_rows.tolist()
+        col_vals = prep.col_vals.tolist()
+        touched = [False] * m
+        picked = [False] * n
 
         def pick(j, r):
-            self.basic[r] = j
+            basic[r] = j
             picked[j] = True
-            touched[prep.col_rows[prep.col_ptr[j]:prep.col_ptr[j + 1]]] = True
+            for i in col_rows[col_ptr[j]:col_ptr[j + 1]]:
+                touched[i] = True
 
-        for j in np.flatnonzero(np.isneginf(self.lo[:n]) & np.isposinf(self.hi[:n])):
-            s, e = prep.col_ptr[j], prep.col_ptr[j + 1]
-            rows, mag = prep.col_rows[s:e], np.abs(prep.col_vals[s:e])
-            open_rows = ~touched[rows] & (mag > 0.0)
-            if open_rows.any():
-                pick(j, rows[open_rows][np.argmax(mag[open_rows])])
-        row_ptr = np.searchsorted(prep.rows_nz, np.arange(m + 1))  # entries are in row order
-        for r in np.flatnonzero(self.lo[n:n + m] == self.hi[n:n + m]):
+        free = np.flatnonzero(np.isneginf(self.lo[:n]) & np.isposinf(self.hi[:n])).tolist()
+        for j in free:
+            best, at = 0.0, -1
+            for k in range(col_ptr[j], col_ptr[j + 1]):
+                if abs(col_vals[k]) > best and not touched[col_rows[k]]:
+                    best, at = abs(col_vals[k]), col_rows[k]
+            if at >= 0:
+                pick(j, at)
+        # the entries are in row order
+        row_ptr = np.searchsorted(prep.rows_nz, np.arange(m + 1)).tolist()
+        cols_nz, vals_nz = prep.cols_nz.tolist(), prep.vals_nz.tolist()
+        for r in np.flatnonzero(self.lo[n:n + m] == self.hi[n:n + m]).tolist():
             if touched[r]:
                 continue
-            s, e = row_ptr[r], row_ptr[r + 1]
-            mag = np.where(picked[prep.cols_nz[s:e]], 0.0, np.abs(prep.vals_nz[s:e]))
-            if mag.size and mag.max() > 0.0:
-                pick(prep.cols_nz[s + np.argmax(mag)], r)
+            best, at = 0.0, -1
+            for k in range(row_ptr[r], row_ptr[r + 1]):
+                if abs(vals_nz[k]) > best and not picked[cols_nz[k]]:
+                    best, at = abs(vals_nz[k]), cols_nz[k]
+            if at >= 0:
+                pick(at, r)
+        self.basic = np.array(basic, dtype=np.int64)
         self.status[self.basic] = BASIC
         return self._factor()
 
@@ -1092,7 +1063,8 @@ class _Run:
             high = alpha[pos] @ self.hi[pos] + alpha[neg] @ self.lo[neg]
             beta = y @ prep.b
             return bool(beta < low - FEAS_TOL or beta > high + FEAS_TOL)
-        self._refresh(c)
+        if self.fresh is None or self.fresh[0] is not c:
+            self._refresh(c)  # otherwise x and d were recomputed on c and still hold
         x = self.x
         if not (np.all(x >= self.lo - FEAS_TOL) and np.all(x <= self.hi + FEAS_TOL)
                 and np.abs(prep.ax(x) - prep.b).max(initial=0.0) <= FEAS_TOL):

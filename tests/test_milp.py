@@ -1,9 +1,15 @@
 """Model construction tests: variables, rows, tangent cuts, relaxation."""
 
+import dataclasses
+import hashlib
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dedpoz import ValidationError, build_milp1, build_milp2, lp_relaxation
+from dedpoz import ValidationError, build_milp1, build_milp2, load_instance, lp_relaxation
+from dedpoz.bnb import OPTIMAL_WITHIN_GAP, solve_milp
 from dedpoz.milp import (
     BINARY,
     CONTINUOUS,
@@ -285,3 +291,224 @@ def test_dump_lp_text_sections():
     assert "pick(0,0,1)" in text
     assert "balance(0):" in text
     assert text.count("<=") >= model.n_variables  # every bounds line has two
+
+
+# sha256 of dump_lp_text for models built by the per-row builder this
+# module's array builder replaced; the two must agree byte for byte
+FIXTURES = Path(__file__).parent / "fixtures"
+DUMP_SHA256 = {
+    "small m1": "21faceb4ebd4ba5235ea254e1e96fddbd986e21fae997fced97eaeb868da6525",
+    "lossy m1": "1028608db0d8ffd58a64be675a2703d735cd18ea42cd48526754fbec24dfe0d9",
+    "lossy m2 off": "05d5c6148730531af983ff6bfdbf0acfd0d10429af090fbcd5a9530d32fded8e",
+    "lossy m2 mid": "b69c7b894ef3c01b88cfee91323f376031225c78ec29db2030204958b6fdda75",
+    "p_initial m1": "7616f6d1aa6b31d103ff040403311437efd3c3f0371a0a762e64cbfa95f3e12c",
+}
+
+
+def _midpoint_anchors(instance):
+    """Every period at each unit's mid-range output."""
+    mid = [(u.p_min + u.p_max) / 2 for u in instance.units]
+    return np.tile(mid, (instance.n_periods, 1))
+
+
+def test_dump_lp_text_matches_the_per_row_builder():
+    small = load_instance(FIXTURES / "small_batch_s167_seed107.json")
+    lossy = load_instance(FIXTURES / "lossy_refine_l0_seed11.json")
+    models = {
+        "small m1": build_milp1(small)[0],
+        "lossy m1": build_milp1(lossy)[0],
+        "lossy m2 off": build_milp2(lossy, 4, None)[0],
+        "lossy m2 mid": build_milp2(lossy, 4, _midpoint_anchors(lossy))[0],
+        "p_initial m1": build_milp1(_instance(p_initial=30.0), tangent_steps=STEPS)[0],
+    }
+    for key, model in models.items():
+        assert hashlib.sha256(dump_lp_text(model).encode()).hexdigest() == DUMP_SHA256[key], key
+
+
+def _from_tuples(model):
+    return dataclasses.replace(model, variables=tuple(model.variables),
+                               constraints=tuple(model.constraints))
+
+
+def test_views_and_arrays_describe_one_model():
+    lossy = load_instance(FIXTURES / "lossy_refine_l0_seed11.json")
+    for model in (build_milp1(_instance(p_initial=30.0), tangent_steps=STEPS)[0],
+                  build_milp2(lossy, 4, _midpoint_anchors(lossy))[0]):
+        again = _from_tuples(model)
+        assert "arrays" not in vars(again)  # derived when first read
+        a, b = model.arrays, again.arrays
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+            assert not x.flags.writeable
+        assert again == model
+        assert pickle.loads(pickle.dumps(model)) == model
+        assert (model.n_variables, model.n_constraints) == (len(again.variables),
+                                                            len(again.constraints))
+        assert model.n_binaries == sum(v.kind == BINARY for v in again.variables)
+
+
+def test_a_solve_leaves_the_views_unmaterialized():
+    model, varmap = build_milp1(_instance(), tangent_steps=STEPS)
+    relaxed = lp_relaxation(model)
+    sol = solve_milp(model, varmap)
+    assert sol.status == OPTIMAL_WITHIN_GAP
+    for m in (model, relaxed):
+        assert not {"variables", "constraints", "objective"} & vars(m).keys()
+    # reading one view materializes all three, from the arrays
+    assert relaxed.constraints is model.constraints
+    assert {"variables", "constraints", "objective"} <= vars(model).keys()
+
+
+def test_validate_reports_the_first_offender_in_order():
+    ok_var = Variable("x", CONTINUOUS, 0.0, 1.0)
+    bad_row = Constraint("r", ((0, np.nan),), LE, 0.0)
+    with pytest.raises(ValidationError, match="variable y: lb"):
+        MilpModel((ok_var, Variable("y", CONTINUOUS, 1.0, 0.0)), (bad_row,),
+                  ((0, np.inf),)).validate()
+    with pytest.raises(ValidationError, match="objective coefficient"):
+        MilpModel((ok_var,), (bad_row,), ((0, np.inf),)).validate()
+    with pytest.raises(ValidationError, match="row s: unknown sense"):
+        MilpModel((ok_var,), (Constraint("q", ((0, 1.0),), LE, 0.0),
+                              Constraint("s", ((0, np.nan),), "<", 0.0), bad_row),
+                  ()).validate()
+    with pytest.raises(ValidationError, match="row s: variable 3 out of range"):
+        MilpModel((ok_var,), (Constraint("s", ((0, 1.0), (3, np.nan)), LE, 0.0),),
+                  ()).validate()
+
+
+def per_row_build(instance, steps, anchors, lossy):
+    """The dispatch model row by row, one ``Constraint`` at a time: the
+    reference the array builder must reproduce bit for bit.  Returns
+    ``(variables, constraints, objective, constant, (p_total, p_seg, u_seg,
+    cost_seg, sr, loss_quad))``."""
+    plan = make_tangent_plan(instance, steps)
+    n, t_count = instance.n_units, instance.n_periods
+    variables, rows = [], []
+
+    def var(name, kind, lb, ub):
+        variables.append(Variable(name, kind, float(lb), float(ub)))
+        return len(variables) - 1
+
+    def row(name, coeffs, sense, rhs, lazy=False):
+        rows.append(Constraint(name, tuple((int(j), float(c)) for j, c in coeffs), sense,
+                               float(rhs), lazy))
+
+    units, segments = instance.units, instance.segments
+    p_total = tuple(tuple(var(f"p({i},{t})", CONTINUOUS, u.p_min, u.p_max)
+                          for t in range(t_count)) for i, u in enumerate(units))
+    slot_vars = {}
+    for what, kind in (("seg", CONTINUOUS), ("pick", BINARY), ("segcost", CONTINUOUS)):
+        slot_vars[what] = tuple(
+            tuple(tuple(var(f"{what}({i},{t},{s.index})", kind,
+                            *{"seg": (0.0, s.hi), "pick": (0.0, 1.0),
+                              "segcost": (-np.inf, np.inf)}[what])
+                        for s in segments[i]) for t in range(t_count)) for i in range(n))
+    p_seg, u_seg, cost_seg = slot_vars["seg"], slot_vars["pick"], slot_vars["segcost"]
+    sr = tuple(tuple(var(f"sr({i},{t})", CONTINUOUS, 0.0, u.ramp_up)
+                     for t in range(t_count)) for i, u in enumerate(units))
+    loss_quad = None
+    if lossy:
+        bounds = (-np.inf, np.inf) if anchors is not None else (0.0, 0.0)
+        loss_quad = tuple(var(f"qloss({t})", CONTINUOUS, *bounds) for t in range(t_count))
+    for i in range(n):
+        for t in range(t_count):
+            for j, seg in enumerate(segments[i]):
+                row(f"poz_lo({i},{t},{seg.index})",
+                    [(p_seg[i][t][j], 1.0), (u_seg[i][t][j], -seg.lo)], GE, 0.0)
+                row(f"poz_hi({i},{t},{seg.index})",
+                    [(p_seg[i][t][j], 1.0), (u_seg[i][t][j], -seg.hi)], LE, 0.0)
+    for i in range(n):
+        for t in range(t_count):
+            row(f"link({i},{t})",
+                [(idx, 1.0) for idx in p_seg[i][t]] + [(p_total[i][t], -1.0)], EQ, 0.0)
+    for i in range(n):
+        for t in range(t_count):
+            row(f"pick_one({i},{t})", [(idx, 1.0) for idx in u_seg[i][t]], EQ, 1.0)
+    for i, unit in enumerate(units):
+        for t in range(t_count):
+            for j, seg in enumerate(segments[i]):
+                for ell, p_bar in enumerate(plan.points[i][j]):
+                    coef_p, coef_u = tangent_cut(unit.beta, unit.gamma, p_bar)
+                    row(f"cut({i},{t},{seg.index},{ell})",
+                        [(cost_seg[i][t][j], 1.0), (p_seg[i][t][j], -coef_p),
+                         (u_seg[i][t][j], -coef_u)], GE, 0.0, lazy=0 < ell < steps)
+    if lossy:
+        on = anchors is not None
+        lm = instance.loss_model
+        b_mw = lm.b_matrix / lm.base_mva
+        b0 = np.asarray(lm.b0) if on else np.zeros(n)
+        b00_mw = lm.b00 * lm.base_mva if on else 0.0
+        for t in range(t_count):
+            coeffs, rhs = [(loss_quad[t], 1.0)], 0.0
+            if on:
+                grad = 2.0 * (b_mw @ anchors[t])
+                coeffs += [(p_total[i][t], -grad[i]) for i in range(n) if grad[i] != 0.0]
+                rhs = -float(anchors[t] @ b_mw @ anchors[t])
+            row(f"loss_cut({t})", coeffs, GE, rhs)
+        for t in range(t_count):
+            row(f"balance({t})", [(p_total[i][t], 1.0 - b0[i]) for i in range(n)]
+                + [(loss_quad[t], -1.0)], EQ, instance.demand[t] + b00_mw)
+    else:
+        for t in range(t_count):
+            row(f"balance({t})", [(p_total[i][t], 1.0) for i in range(n)], EQ,
+                instance.demand[t])
+    for i, unit in enumerate(units):
+        for t in range(t_count):
+            if t == 0:
+                if unit.p_initial is None:
+                    continue
+                row(f"ramp_up({i},{t})", [(p_total[i][t], 1.0)], LE,
+                    unit.p_initial + unit.ramp_up)
+                row(f"ramp_dn({i},{t})", [(p_total[i][t], 1.0)], GE,
+                    unit.p_initial - unit.ramp_down)
+            else:
+                pair = [(p_total[i][t], 1.0), (p_total[i][t - 1], -1.0)]
+                row(f"ramp_up({i},{t})", pair, LE, unit.ramp_up)
+                row(f"ramp_dn({i},{t})", pair, GE, -unit.ramp_down)
+    for i, unit in enumerate(units):
+        for t in range(t_count):
+            row(f"headroom({i},{t})", [(sr[i][t], 1.0), (p_total[i][t], 1.0)], LE, unit.p_max)
+    for t in range(t_count):
+        row(f"reserve({t})", [(sr[i][t], 1.0) for i in range(n)], GE, instance.reserve[t])
+    objective = tuple((idx, 1.0) for i in range(n) for t in range(t_count)
+                      for idx in cost_seg[i][t])
+    return (tuple(variables), tuple(rows), objective,
+            float(t_count * instance.alphas.sum()),
+            (p_total, p_seg, u_seg, cost_seg, sr, loss_quad))
+
+
+def _exact(value):
+    """``value`` with every float spelled out to the bit, and its type kept."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_exact(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + _exact(dataclasses.astuple(value))
+    return (type(value).__name__, value.hex() if isinstance(value, float) else value)
+
+
+def test_array_builder_matches_the_per_row_reference_bit_for_bit():
+    rng = np.random.default_rng(2111)
+    cases = []
+    for k in range(6):
+        instance = random_lossy_instance(rng)
+        if k % 2:  # p_initial on every other unit
+            units = tuple(dataclasses.replace(u, p_initial=(u.p_min + u.p_max) / 2)
+                          if i % 2 == 0 else u for i, u in enumerate(instance.units))
+            instance = dataclasses.replace(instance, units=units)
+        anchors = rng.uniform(10.0, 40.0, (instance.n_periods, instance.n_units))
+        anchors[:, 0] = 0.0  # a zero gradient drops the p term of unit 0 only
+        cases += [(instance, 1 + k % 4, None, False), (instance, 3, None, True),
+                  (instance, 2, anchors, True)]
+    for instance, steps, anchors, lossy in cases:
+        model, varmap = (build_milp2(instance, steps, anchors) if lossy
+                         else build_milp1(instance, steps))
+        variables, rows, objective, constant, maps = per_row_build(instance, steps, anchors,
+                                                                   lossy)
+        assert _exact(model.variables) == _exact(variables)
+        assert _exact(model.constraints) == _exact(rows)
+        assert _exact(model.objective) == _exact(objective)
+        assert _exact(model.objective_constant) == _exact(constant)
+        assert _exact((varmap.p_total, varmap.p_seg, varmap.u_seg, varmap.cost_seg,
+                       varmap.sr, varmap.loss_quad)) == _exact(maps)
+        assert varmap.constant_cost == constant

@@ -1,6 +1,8 @@
 """LP solver tests against exhaustive vertex enumeration and hand cases."""
 
 import dataclasses
+import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedpoz import ValidationError, build_milp1, build_milp2, duplicate_system, simplex
+from dedpoz import (ValidationError, build_milp1, build_milp2, duplicate_system,
+                    load_instance, simplex)
 from dedpoz.milp import (BINARY, CONTINUOUS, EQ, GE, LE, Constraint, MilpModel, Variable,
                          _reanchor, lp_relaxation)
 from dedpoz.simplex import (
@@ -1041,7 +1044,8 @@ def test_rows_join_inside_one_run_at_one_factorization_a_round(monkeypatch):
 def test_rows_broken_only_at_the_recomputed_iterate_still_join(monkeypatch):
     # the stub moves the updated iterate of each optimal claim to where no
     # tangent cut is broken (every segment cost far up), so only the iterate
-    # the certificate recomputes from the basis shows the broken rows
+    # the certificate recomputes from the basis shows the broken rows; like
+    # every write to x, it clears the mark that x was just recomputed
     model = ladder_root_model(1)
     prep = PreparedLp(lp_relaxation(model))
     free = np.flatnonzero(np.isinf(prep.lo_template[:prep.n_struct]))
@@ -1054,6 +1058,7 @@ def test_rows_broken_only_at_the_recomputed_iterate_still_join(monkeypatch):
         if status == OPTIMAL:
             hidden.append(run.pivots)
             run.x[free] = 1e9
+            run.fresh = None
         return status
 
     monkeypatch.setattr(_Run, "_primal", hide_broken_rows)
@@ -1147,6 +1152,51 @@ def test_crash_holds_every_free_column_on_a_triangular_basis():
         assert np.all(run.status[basic] == BASIC)
         np.testing.assert_allclose(run.b_inv @ dense_basis(prep, basic), np.eye(m),
                                    rtol=0.0, atol=1e-9)
+
+
+def reference_crash_basis(prep, lo, hi):
+    """The crash's picks, one numpy scan per column and per row: the largest
+    entry on a row no earlier pick touches, the first of equal ones."""
+    n, m = prep.n_struct, prep.m
+    basic = n + np.arange(m)
+    touched = np.zeros(m, dtype=bool)
+    picked = np.zeros(n, dtype=bool)
+
+    def pick(j, r):
+        basic[r] = j
+        picked[j] = True
+        touched[prep.col_rows[prep.col_ptr[j]:prep.col_ptr[j + 1]]] = True
+
+    for j in np.flatnonzero(np.isneginf(lo[:n]) & np.isposinf(hi[:n])):
+        s, e = prep.col_ptr[j], prep.col_ptr[j + 1]
+        rows, mag = prep.col_rows[s:e], np.abs(prep.col_vals[s:e])
+        open_rows = ~touched[rows] & (mag > 0.0)
+        if open_rows.any():
+            pick(j, rows[open_rows][np.argmax(mag[open_rows])])
+    row_ptr = np.searchsorted(prep.rows_nz, np.arange(m + 1))
+    for r in np.flatnonzero(lo[n:] == hi[n:]):
+        if touched[r]:
+            continue
+        s, e = row_ptr[r], row_ptr[r + 1]
+        mag = np.where(picked[prep.cols_nz[s:e]], 0.0, np.abs(prep.vals_nz[s:e]))
+        if mag.size and mag.max() > 0.0:
+            pick(prep.cols_nz[s + np.argmax(mag)], r)
+    return basic
+
+
+def test_crash_picks_the_largest_entry_first_of_equals():
+    rng = np.random.default_rng(23)
+    models = [lp_relaxation(ladder_root_model(1)), lp_relaxation(ladder_root_model(4))]
+    for _ in range(30):
+        model = random_boxed_lp(rng)
+        models.append(dataclasses.replace(model, variables=tuple(
+            dataclasses.replace(v, lb=-np.inf, ub=np.inf) if rng.random() < 0.5 else v
+            for v in model.variables)))
+    for model in models:
+        for work in (PreparedLp(model)._working(), all_rows(PreparedLp(model))):
+            run = _Run(work, None, None, None, DEFAULT_MAX_ITERS)
+            run._crash()
+            np.testing.assert_array_equal(run.basic, reference_crash_basis(work, run.lo, run.hi))
 
 
 def test_crash_seats_the_ladder_equality_rows():
@@ -1320,3 +1370,111 @@ def test_kernel_is_not_reused_off_its_own_model_and_basis(monkeypatch):
                       (off[0], parent), (off[1], parent), (over, parent)):
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(want.objective, rel=1e-9)
+
+
+# ----- one prepare path, from the model's arrays ----------------------------
+
+PREPARED_ARRAYS = ("rows_nz", "cols_nz", "vals_nz", "b", "row_scale", "col_scale",
+                   "lo_template", "hi_template", "c", "active", "col_rows", "col_vals",
+                   "col_ptr")
+
+
+def assert_same_prepared(a, b):
+    for name in PREPARED_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def from_tuples(model):
+    return dataclasses.replace(model, variables=tuple(model.variables),
+                               constraints=tuple(model.constraints))
+
+
+def test_prepared_model_is_the_same_from_arrays_and_from_tuples():
+    fixtures = Path(__file__).parent / "fixtures"
+    small = load_instance(fixtures / "small_batch_s167_seed107.json")
+    lossy = load_instance(fixtures / "lossy_refine_l0_seed11.json")
+    mid = np.tile([(u.p_min + u.p_max) / 2 for u in lossy.units], (lossy.n_periods, 1))
+    m2, varmap = build_milp2(lossy, 4, None)
+    models = [build_milp1(small)[0], build_milp1(lossy)[0], m2,
+              build_milp2(lossy, 4, mid)[0]]
+    for model in models:
+        relaxed = lp_relaxation(model)
+        assert_same_prepared(PreparedLp(relaxed), PreparedLp(from_tuples(relaxed)))
+    # a re-anchored model, and a prepared model edited into it, are the
+    # model built at those anchors
+    prep = PreparedLp(lp_relaxation(m2))
+    for anchors in (mid, 0.5 * mid, None):
+        m2, rows = _reanchor(m2, varmap, lossy, anchors)
+        built = PreparedLp(lp_relaxation(build_milp2(lossy, 4, anchors)[0]))
+        assert_same_prepared(PreparedLp(lp_relaxation(m2)), built)
+        prep._edit(lp_relaxation(m2), rows, varmap.loss_quad)
+        assert_same_prepared(prep, built)
+
+
+def test_a_replaced_model_is_prepared_from_its_own_rows():
+    model = lp_relaxation(build_milp1(random_lossless_instance(np.random.default_rng(7)),
+                                      tangent_steps=3)[0])
+    before = PreparedLp(model)
+    r = next(r for r, con in enumerate(model.constraints) if con.name.startswith("poz_hi"))
+    con = model.constraints[r]
+    changed = dataclasses.replace(con, coeffs=(con.coeffs[0], (con.coeffs[1][0], -1e3)))
+    edited = dataclasses.replace(
+        model, constraints=model.constraints[:r] + (changed,) + model.constraints[r + 1:])
+    assert "arrays" not in vars(edited)
+    after = PreparedLp(edited)
+    assert_same_prepared(after, PreparedLp(MilpModel(
+        tuple(edited.variables), tuple(edited.constraints), edited.objective,
+        edited.objective_constant)))
+    on = before.rows_nz == r
+    assert not np.array_equal(after.vals_nz[on], before.vals_nz[on])
+    np.testing.assert_array_equal(after.vals_nz[~on], before.vals_nz[~on])
+
+
+def test_duplicate_entries_are_summed_into_one_cell():
+    bounds = ((0.0, 4.0), (0.0, 4.0), (0.0, 4.0))
+    split = lp(bounds, [([(2, 1.0), (0, 0.5), (2, 2.0), (0, 0.25)], LE, 3.0),
+                        ([(1, -1.0), (1, -0.5)], GE, -6.0)], [(0, 1.0), (0, 1.0)])
+    summed = lp(bounds, [([(0, 0.75), (2, 3.0)], LE, 3.0), ([(1, -1.5)], GE, -6.0)],
+                [(0, 2.0)])
+    assert_same_prepared(PreparedLp(split), PreparedLp(summed))
+
+
+def test_a_certificate_reads_a_fresh_iterate_without_recomputing_it(monkeypatch):
+    # x and d recomputed on the true costs with no pivot, flip or
+    # factorization since are what a recompute would give
+    refresh, certified = _Run._refresh, _Run._certified
+    seen = []  # per optimal or unbounded certificate: (fresh, refreshes inside)
+    refreshes = [0]
+
+    def count(run, c):
+        refreshes[0] += 1
+        return refresh(run, c)
+
+    def spy(run, status):
+        fresh = run.fresh is not None and run.fresh[0] is run.prep.c
+        before, x = refreshes[0], run.x.copy()
+        ok = certified(run, status)
+        if status != INFEASIBLE:
+            seen.append((fresh, refreshes[0] - before))
+            if fresh:
+                np.testing.assert_array_equal(run.x, x)
+                np.testing.assert_array_equal(run.x, run._compute_x())
+        return ok
+
+    monkeypatch.setattr(_Run, "_refresh", count)
+    monkeypatch.setattr(_Run, "_certified", spy)
+    rng = np.random.default_rng(29)
+    for prep in [ladder_root_lp(1), ladder_root_lp(2)] + [
+            PreparedLp(random_boxed_lp(rng)) for _ in range(40)]:
+        prep.solve()
+    assert any(fresh for fresh, _ in seen) and any(not fresh for fresh, _ in seen)
+    assert all(n == (0 if fresh else 1) for fresh, n in seen)
+
+
+def test_a_dropped_prepared_model_is_freed_without_the_cycle_collector():
+    prep = ladder_root_lp(1)
+    assert prep.solve().status == OPTIMAL
+    gone = weakref.ref(prep)
+    del prep
+    assert gone() is None
