@@ -220,14 +220,17 @@ def write_schedule_csv(path, instance: SystemInstance,
                        schedule: Schedule) -> None:
     """One row per period: ``t, unit_1, ..., unit_N, loss_mw`` at 6 decimals."""
     lm = instance.loss_model
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"unit_{i + 1}" for i in range(instance.n_units)]
-                        + ["loss_mw"])
-        for t in range(schedule.p.shape[0]):
-            loss = evaluate_loss_mw(lm, schedule.p[t]) if lm is not None else 0.0
-            writer.writerow([t + 1] + [f"{v:.6f}" for v in schedule.p[t]]
-                            + [f"{loss:.6f}"])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"unit_{i + 1}" for i in range(instance.n_units)]
+                            + ["loss_mw"])
+            for t in range(schedule.p.shape[0]):
+                loss = evaluate_loss_mw(lm, schedule.p[t]) if lm is not None else 0.0
+                writer.writerow([t + 1] + [f"{v:.6f}" for v in schedule.p[t]]
+                                + [f"{loss:.6f}"])
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write schedule file: {exc}") from exc
 
 
 def read_schedule_csv(path, instance: SystemInstance) -> Schedule:
@@ -313,7 +316,11 @@ def report_to_dict(report) -> dict:
 
 
 def write_report_json(report, path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+    text = json.dumps(report_to_dict(report), indent=2) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write report file: {exc}") from exc
 
 
 def feasibility_to_dict(audit) -> dict:

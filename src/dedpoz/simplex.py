@@ -47,8 +47,7 @@ Revised simplex with an explicit basis inverse.  Design points:
   viol_i^2 / beta_i, beta_i = |e_i^T B^-1|^2 (dual steepest edge, Forrest &
   Goldfarb 1992): the weights are read off B^-1 at the switch and at every
   factorization, and take an exact update at each pivot from the block the
-  inverse update gathers.  Both switch to Bland's rule after
-  ``BLAND_AFTER`` degenerate steps;
+  inverse update gathers;
 * both ratio tests are Harris two-pass: the first pass bounds the step with
   every bound (or reduced cost) relaxed by ``HARRIS_TOL``, the second takes
   the largest pivot among the rows (columns) that block within it, so a
@@ -60,13 +59,15 @@ Revised simplex with an explicit basis inverse.  Design points:
   flip, counted as an iteration), and runs Harris over the rest; a row that
   outlasts every breakpoint proves infeasibility;
 * most basic columns are slacks, i.e. unit vectors, so a fresh
-  factorization (the crash, a recheck, the ``REFACTOR_EVERY`` window)
-  inverts only the kernel: the structural basic columns restricted to the
-  rows no unit column covers.  The rest of the inverse follows from the
-  kernel inverse by block elimination;
-* between refactorizations the inverse takes a rank-1 update per pivot,
+  factorization (the crash, a recheck, a drifted pivot) inverts only the
+  kernel: the structural basic columns on the rows no unit column covers.
+  The rest of the inverse follows from it by block elimination;
+* between factorizations the inverse takes a rank-1 update per pivot,
   applied only where the entering column and the pivot row are nonzero
-  (both are sparse on dispatch models);
+  (both are sparse on dispatch models), along however long a chain of warm
+  starts reuses a carried inverse.  Only evidence refactors: a pivot
+  whose element read from the column, w_r, and from the row, alpha_q,
+  differ by more than ``DRIFT_TOL`` relative to w_r (Maros 2003);
 * a product with the inverse is nonzero where it exceeds ``ZERO_TOL`` in
   magnitude: the entering column w = B^-1 a_q, the pivot row, the
   inverse a basis carries and the Woodbury factors.  Exact cancellations
@@ -75,10 +76,8 @@ Revised simplex with an explicit basis inverse.  Design points:
   and of each carried inverse.  The inverse held keeps those entries, and
   nothing zeroes them;
 * the iterate and reduced costs are updated per pivot, on the nonzeros of
-  the entering column and of the pivot row, and recomputed from
-  scratch at every refactorization, at the latest ``REFACTOR_EVERY``
-  rank-1 updates after the last inversion, counted along a chain of warm
-  starts that reuse a carried inverse (a Woodbury update counts |R|);
+  the entering column and of the pivot row, and recomputed from scratch
+  at every refactorization;
 * one rule reads every verdict (optimal, infeasible, unbounded): it stands
   once it checks against the working rows at the inverse the run holds.
   An optimum's recomputed iterate meets its bounds and rows and its
@@ -87,7 +86,10 @@ Revised simplex with an explicit basis inverse.  Design points:
   unblocked.  A verdict that fails its check has the basis factored
   afresh and goes back through the dual start, ``RECHECKS`` times at
   most before ``iteration_limit``.  ``iteration_limit`` is never checked,
-  and a basis that fails to factor ends the solve with it.
+  and a basis that fails to factor ends the solve with it;
+* against cycling: Harris ratio tests and dual steepest edge choose the
+  pivots, a verdict stands only once its certificate checks, and
+  ``max_iters`` ends a run that cycles.
 """
 
 import weakref
@@ -108,10 +110,8 @@ DUAL_TOL = 1e-8
 PIVOT_TOL = 1e-9
 ZERO_TOL = 1e-14
 HARRIS_TOL = 1e-9
-DEGEN_STEP = 1e-10
-BLAND_AFTER = 1000
+DRIFT_TOL = 1e-9
 STEEP_AFTER = 30
-REFACTOR_EVERY = 400
 RECHECKS = 2
 DEFAULT_MAX_ITERS = 50_000
 
@@ -125,9 +125,8 @@ class Basis:
     ``kernel`` is the inverse the run ended with, by its nonzeros in model
     coordinates: ``(model token, model rows it covers, model column basic
     at each of their positions, model row of each nonzero's basis position,
-    model row of each nonzero's column, nonzero values, rank-1 updates)``,
-    the last the count of updates since it was last inverted.  None if the
-    run ended with no inverse."""
+    model row of each nonzero's column, nonzero values)``.  None if the run
+    ended with no inverse."""
 
     basic_idx: np.ndarray
     status: np.ndarray
@@ -447,6 +446,7 @@ class _Run:
         self.status = np.empty(prep.ncols, dtype=np.int8)
         self.basic = np.empty(prep.m, dtype=np.int64)
         self.b_inv = None  # None while the basis is not factored
+        self.drifted = False  # set by a pivot whose two readings of w_r disagree
         # (costs, y = B^-T c_B) of the last refresh, None once a pivot, flip
         # or factorization has come since: x and y need no recomputing
         self.fresh = None
@@ -457,9 +457,6 @@ class _Run:
         self.d = np.zeros(prep.ncols)
         self.pivots = 0
         self.iters = 0
-        self.since_refactor = 0
-        self.degen = 0
-        self.bland = False
 
     # ----- state helpers ---------------------------------------------------
 
@@ -490,6 +487,7 @@ class _Run:
         prep = self.prep
         buf, self.b_inv = self.b_inv, None  # refilled in place if its shape holds
         self.fresh = None
+        self.drifted = False
         b_inv = None if known is None else self._reload(known, buf)
         if b_inv is None:
             blocks = self._blocks()
@@ -509,7 +507,6 @@ class _Run:
             b_inv[s_pos[:, None], k_rows] = kernel_inv
             b_inv[u_pos[:, None], k_rows] = on_u
             b_inv[u_pos, ru] = 1.0
-            self.since_refactor = 0
         self.b_inv = b_inv
         if self.weights is not None:
             self.weights = _row_norms(b_inv)
@@ -525,11 +522,11 @@ class _Run:
         Each working row it does not cover must hold its own slack basic, so
         its row of B^-1 is e_j - A[j,B] B^-1, formed from the nonzeros of the
         rows of B^-1 its entries touch.  Rows the edit rewrote then take a
-        rank-|R| Sherman-Morrison-Woodbury update, counted as |R| updates;
-        None if its |R| x |R| system is singular or not finite."""
+        rank-|R| Sherman-Morrison-Woodbury update; None if its |R| x |R|
+        system is singular or not finite."""
         prep = self.prep
         n, m = prep.n_struct, prep.m
-        token, rows, cols, at, of, vals, updates = known
+        token, rows, cols, at, of, vals = known
         edit = None
         if token is not prep.token:
             edit = prep.model.edited
@@ -562,7 +559,6 @@ class _Run:
             which = np.repeat(np.arange(key.size), count)
             nz = first[which] + np.arange(which.size) - (np.cumsum(count) - count)[which]
             np.add.at(flat, e_row[which] * m + of_w[nz], -e_val[which] * vals[nz])
-        self.since_refactor = updates
         if edit is None:
             return b_inv
         rewritten = edit[1][np.isin(edit[1], rows)]
@@ -607,7 +603,6 @@ class _Run:
         for s in range(0, on_c.size, step):
             block = on_c[s:s + step]
             b_inv[np.ix_(block, on_z)] -= c[block] @ z
-        self.since_refactor += k
         return True
 
     def _kernel(self):
@@ -623,7 +618,7 @@ class _Run:
         nz, vals = nz[real], vals[real]
         at = nz // m
         return (prep.token, prep.rows, prep.full_col[self.basic], prep.rows[at],
-                prep.rows[nz - at * m], vals, self.since_refactor)
+                prep.rows[nz - at * m], vals)
 
     def _update_b_inv(self, w, r, rows):
         """Rank-1 update of B^-1 for the exchange at position r, with
@@ -654,7 +649,6 @@ class _Run:
             drifted = rows[beta[rows] <= 0.0]
             if drifted.size:
                 beta[drifted] = _row_norms(b_inv[drifted])
-        self.since_refactor += 1
 
     def _compute_x(self) -> np.ndarray:
         x = np.zeros(self.prep.ncols)
@@ -705,16 +699,19 @@ class _Run:
                                            minlength=n)
                                if prep.rows_nz.size else np.zeros(n), binv_r])
 
-    def _exchange(self, r, q, w, alpha, step, to_lower, theta):
+    def _exchange(self, r, q, w, alpha, step, to_lower):
         """Basis exchange at position r: q enters, moved by ``step``, with
         w = B^-1 a_q and ``alpha`` the old tableau row r; the leaving column
         goes to its lower or upper bound.  The iterate moves on the rows of w
         above ZERO_TOL and the reduced costs along alpha: the leaving column
-        picks up -d_q / w_r and the basic columns stay at zero.  A
-        ratio-test step ``theta`` of about zero counts toward the switch to
-        Bland's rule."""
+        picks up -d_q / w_r and the basic columns stay at zero.  w_r and
+        alpha_q are the same pivot element read from the column and from the
+        row; the run is marked ``drifted`` when they disagree beyond
+        DRIFT_TOL."""
         leaving = int(self.basic[r])
         self.fresh = None
+        if abs(w[r] - alpha[q]) > DRIFT_TOL * abs(w[r]):
+            self.drifted = True
         rows = (np.abs(w) > ZERO_TOL).nonzero()[0]
         self.x[self.basic[rows]] -= step * w[rows]
         self.x[q] += step
@@ -731,10 +728,6 @@ class _Run:
                               else 1.0 if to_lower else -1.0)
         self._update_b_inv(w, r, rows)
         self.pivots += 1
-        if theta <= DEGEN_STEP:
-            self.degen += 1
-            if self.degen >= BLAND_AFTER:
-                self.bland = True
 
     # ----- start paths -----------------------------------------------------
 
@@ -854,18 +847,15 @@ class _Run:
         while True:
             if self.iters >= self.max_iters:
                 return ITERATION_LIMIT
-            if self.since_refactor >= REFACTOR_EVERY and not self._refactor(c):
+            if self.drifted and not self._refactor(c):
                 return ITERATION_LIMIT
             x, d = self.x, self.d
             elig_inc, elig_dec = self._entering(d, movable)
             elig = elig_inc | elig_dec
             if not elig.any():
                 return OPTIMAL
-            if self.bland:
-                q = int(np.flatnonzero(elig)[0])
-            else:
-                score = np.where(elig, np.abs(d) / prep.col_scale, -1.0)
-                q = int(np.argmax(score))
+            score = np.where(elig, np.abs(d) / prep.col_scale, -1.0)
+            q = int(np.argmax(score))
             s = 1.0 if elig_inc[q] else -1.0
             w = self._w_col(q)
             delta = s * w
@@ -890,19 +880,14 @@ class _Run:
                 x[q] = self.hi[q] if up else self.lo[q]
                 self.status[q] = AT_UPPER if up else AT_LOWER
                 continue
-            if self.bland:
-                cands = np.flatnonzero(ratios <= theta_basic + 1e-12)
-                r = int(cands[np.argmin(self.basic[cands])])
-            else:
-                # Harris: ``cap`` is the step with every bound relaxed by
-                # HARRIS_TOL; the largest pivot blocking within it leaves
-                with np.errstate(divide="ignore"):
-                    cap = float((np.minimum(r_lo, r_hi) + HARRIS_TOL / np.abs(delta)).min())
-                cands = np.flatnonzero(ratios <= max(theta_basic + 1e-12, min(cap, span)))
-                r = int(cands[np.argmax(np.abs(delta[cands]))])
-                theta_basic = float(ratios[r])
+            # Harris: ``cap`` is the step with every bound relaxed by
+            # HARRIS_TOL; the largest pivot blocking within it leaves
+            with np.errstate(divide="ignore"):
+                cap = float((np.minimum(r_lo, r_hi) + HARRIS_TOL / np.abs(delta)).min())
+            cands = np.flatnonzero(ratios <= max(theta_basic + 1e-12, min(cap, span)))
+            r = int(cands[np.argmax(np.abs(delta[cands]))])
             alpha = self._alpha_row(self.b_inv[r])
-            self._exchange(r, q, w, alpha, s * theta_basic, delta[r] > 0, theta_basic)
+            self._exchange(r, q, w, alpha, s * float(ratios[r]), delta[r] > 0)
 
     # ----- dual simplex ----------------------------------------------------
 
@@ -924,7 +909,7 @@ class _Run:
         while True:
             if self.iters >= self.max_iters:
                 return ITERATION_LIMIT
-            if self.since_refactor >= REFACTOR_EVERY and not self._refactor(c):
+            if self.drifted and not self._refactor(c):
                 return ITERATION_LIMIT
             if self.weights is None and self.pivots >= STEEP_AFTER:
                 self.weights = _row_norms(self.b_inv)
@@ -933,12 +918,11 @@ class _Run:
             below = self.lo[self.basic] - xb
             above = xb - self.hi[self.basic]
             viol = np.maximum(below, above)
-            if self.bland or self.weights is not None:
+            if self.weights is not None:
                 worst = (viol > FEAS_TOL).nonzero()[0]
                 if worst.size == 0:
                     return OPTIMAL
-                r = int(worst[self.basic[worst].argmin()] if self.bland else
-                        worst[(viol[worst] ** 2 / self.weights[worst]).argmax()])
+                r = int(worst[(viol[worst] ** 2 / self.weights[worst]).argmax()])
             else:
                 r = int(viol.argmax()) if viol.size else -1
                 if r < 0 or not viol[r] > FEAS_TOL:
@@ -957,7 +941,7 @@ class _Run:
             mag = np.abs(denom)
             raw = d[cand] / denom
             ratios = np.maximum(raw, 0.0)
-            if self.weights is not None and not self.bland:
+            if self.weights is not None:
                 # each breakpoint passed cuts the row's infeasibility by
                 # |alpha_j| (u_j - l_j); a free column cannot be passed, nor
                 # one that leaves the row within FEAS_TOL of its bound
@@ -973,19 +957,15 @@ class _Run:
                     self._flip(cand[order[:passed]])
                     rest = order[passed:]
                     cand, mag, raw, ratios = cand[rest], mag[rest], raw[rest], ratios[rest]
-            theta = float(ratios.min())
-            if self.bland:
-                q = int(cand[(ratios <= theta + 1e-12).argmax()])
-            else:
-                # Harris, as in the primal, with the reduced costs relaxed
-                cap = float((raw + HARRIS_TOL / mag).min())
-                near = (ratios <= max(theta + 1e-12, cap)).nonzero()[0]
-                q = int(cand[near[mag[near].argmax()]])
+            # Harris, as in the primal, with the reduced costs relaxed
+            cap = float((raw + HARRIS_TOL / mag).min())
+            near = (ratios <= max(float(ratios.min()) + 1e-12, cap)).nonzero()[0]
+            q = int(cand[near[mag[near].argmax()]])
             w = self._w_col(q)
             leaving = self.basic[r]
             target = self.lo[leaving] if is_below else self.hi[leaving]
             self.iters += 1
-            self._exchange(r, q, w, alpha, (self.x[leaving] - target) / w[r], is_below, theta)
+            self._exchange(r, q, w, alpha, (self.x[leaving] - target) / w[r], is_below)
 
     def _flip(self, cols):
         """Move the nonbasic columns ``cols``, each at a finite bound, to

@@ -383,7 +383,7 @@ def test_root_basis_is_returned_with_its_inverse():
     np.testing.assert_array_equal(sol.root_basis.basic_idx, root.basis.basic_idx)
     # the inverse it carries is of the caller's prepared model, and inverts
     # the root basis over the rows it covers
-    token, rows, cols, at, of, vals, _ = sol.root_basis.kernel
+    token, rows, cols, at, of, vals = sol.root_basis.kernel
     assert token is prep.token
     np.testing.assert_array_equal(cols, sol.root_basis.basic_idx[rows])
     n, k = prep.n_struct, rows.size

@@ -402,8 +402,8 @@ DED_10X24_HIGHS_OBJECTIVE = 24855.1472
 
 
 def test_paper_scale_fixture_meets_the_highs_optimum():
-    # 10 units over a 24-period day: the only instance here whose LPs run
-    # long enough to refactor mid-phase
+    # 10 units over a 24-period day: its root LP runs one chain of over a
+    # thousand inverse updates from the crash to the optimum
     instance = load_instance(Path(__file__).parent / "fixtures" / "ded_10x24_seed1.json")
     config = IaConfig()
     report = solve_ded_no_loss(instance, config)

@@ -493,6 +493,17 @@ def test_cli_solve_writes_outputs(tmp_path, capsys):
     assert audit["tol"] == CSV_AUDIT_TOL
 
 
+@pytest.mark.parametrize("flag,what", [("--schedule-out", "schedule"),
+                                       ("--report-out", "report")])
+def test_cli_output_that_cannot_be_written_is_input_error(tmp_path, capsys, flag, what):
+    path = _write_json(tmp_path, instance_dict())
+    out = tmp_path / "missing" / "out"
+    assert main(["solve", "--instance", path, flag, str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{out}: cannot write {what} file" in err
+
+
 def test_cli_solve_reports_failed_audit(tmp_path, capsys, monkeypatch):
     # a schedule that fails the audit is named as such; the balance line
     # alone cannot show it, and the exit code stays that of the solve

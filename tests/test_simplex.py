@@ -268,12 +268,16 @@ def test_dispatch_relaxation_is_a_lower_bound():
 
 def dense_basis(prep, basic):
     """Basis matrix built from the coordinate arrays, independently of the
-    solver's own column builder."""
-    n, m = prep.n_struct, prep.m
-    full = np.zeros((m, prep.ncols))
-    full[prep.rows_nz, prep.cols_nz] = prep.vals_nz
-    full[np.arange(m), n + np.arange(m)] = 1.0
-    return full[:, basic]
+    solver's own column builder; no column outside the basis is made."""
+    n = prep.n_struct
+    pos = np.full(prep.ncols, -1)  # each column's basis position
+    pos[basic] = np.arange(len(basic))
+    out = np.zeros((prep.m, len(basic)))
+    on = pos[prep.cols_nz] >= 0
+    out[prep.rows_nz[on], pos[prep.cols_nz[on]]] = prep.vals_nz[on]
+    slack = np.flatnonzero(pos[n:] >= 0)
+    out[slack, pos[n + slack]] = 1.0
+    return out
 
 
 def all_rows(prep):
@@ -386,7 +390,7 @@ def test_carried_inverse_holds_no_round_off_and_inverts_the_basis():
     prep = ladder_root_lp(3)
     sol = prep.solve()
     assert sol.status == OPTIMAL
-    _, rows, cols, at, of, vals, _ = sol.basis.kernel
+    _, rows, cols, at, of, vals = sol.basis.kernel
     assert np.all(np.abs(vals) > simplex.ZERO_TOL)
     # the round-off fill the rank-1 updates leave is not carried
     assert vals.size < 10_000
@@ -395,6 +399,64 @@ def test_carried_inverse_holds_no_round_off_and_inverts_the_basis():
     b_inv[np.searchsorted(rows, at), np.searchsorted(rows, of)] = vals
     np.testing.assert_allclose(b_inv @ dense_basis(work, work.from_full[cols]),
                                np.eye(rows.size), rtol=0.0, atol=1e-9)
+
+
+def test_a_chain_of_over_a_thousand_updates_still_inverts_its_basis(monkeypatch):
+    # the cold root LP of a 24-period day: the crash is its only inversion,
+    # and every pivot after it is a rank-1 update on the same chain
+    instance = load_instance(Path(__file__).parent / "fixtures" / "ded_10x24_seed1.json")
+    prep = PreparedLp(lp_relaxation(build_milp1(instance, tangent_steps=4)[0]))
+    inv, update = np.linalg.inv, _Run._update_b_inv
+    chains = []
+
+    def count(a):
+        chains.append(0)
+        return inv(a)
+
+    def spy(run, w, r, rows):
+        chains[-1] += 1
+        update(run, w, r, rows)
+
+    monkeypatch.setattr(np.linalg, "inv", count)
+    monkeypatch.setattr(_Run, "_update_b_inv", spy)
+    sol = prep.solve()
+    assert sol.status == OPTIMAL
+    assert len(chains) == 1 and max(chains) >= 1000
+    _, rows, cols, at, of, vals = sol.basis.kernel
+    work = _WorkingRows(prep, np.isin(np.arange(prep.m), rows))
+    b_inv = np.zeros((rows.size, rows.size))
+    b_inv[np.searchsorted(rows, at), np.searchsorted(rows, of)] = vals
+    basis = dense_basis(work, work.from_full[cols])
+    for s in range(0, rows.size, 512):  # B^-1 B - I by row blocks: k x k is 83 MB here
+        block = b_inv[s:s + 512] @ basis
+        block[:, s:s + 512] -= np.eye(block.shape[0])
+        assert np.abs(block).max() <= 1e-9
+
+
+def test_a_pivot_read_two_ways_that_disagree_refactors_before_the_next(monkeypatch):
+    # after the first pivot, the stub scales the held inverse's row r once
+    # the pivot row has been read from it: the entering column then reads
+    # w_r off the scaled row, away from alpha_q, and the inverse is wrong
+    model = unmarked(ladder_root_model(1))
+    clean = PreparedLp(lp_relaxation(model)).solve()
+    alpha_row = _Run._alpha_row
+    scaled = []
+
+    def scale_once(run, binv_r):
+        alpha = alpha_row(run, binv_r)
+        if run.pivots == 1 and not scaled:
+            scaled.append(run.pivots)
+            binv_r *= 1.0 + 1e-6  # a view of the held inverse's row
+        return alpha
+
+    monkeypatch.setattr(_Run, "_alpha_row", scale_once)
+    sol, calls = solve_with_failed_factor(monkeypatch, model)
+    assert scaled == [1]
+    # the crash, then a fresh factorization right after the second pivot
+    assert calls[:2] == [(0, False), (2, False)]
+    assert sol.status == clean.status == OPTIMAL
+    assert sol.objective == pytest.approx(clean.objective, rel=1e-9)
+    _check_primal_feasible(model, sol.values)
 
 
 # ----- every optimal exit meets its rows and bounds -------------------------
@@ -427,9 +489,9 @@ def test_every_optimal_meets_rows_and_bounds(model):
     for steep in STEEP_MODES:
         with mock.patch.object(simplex, "STEEP_AFTER", steep):
             sol = PreparedLp(model).solve()
-            # a 3-pivot refactor window, so the window refactorization runs
+            # every pivot read as drifted, so the drift refactorization runs
             # on models this small too, gives the same answer
-            with mock.patch.object(simplex, "REFACTOR_EVERY", 3):
+            with mock.patch.object(simplex, "DRIFT_TOL", -1.0):
                 short = PreparedLp(model).solve()
         assert short.status == sol.status
         if sol.status == OPTIMAL:
@@ -500,12 +562,12 @@ FACTOR = _Run._factor
 
 def solve_with_failed_factor(monkeypatch, model, fail_at=None):
     """Solve ``model`` recording each call of ``_Run._factor`` as
-    ``(since_refactor, from a known kernel)``; call number ``fail_at``
+    ``(pivots, from a known kernel)``; call number ``fail_at``
     drops the inverse and returns False, as on a singular basis."""
     calls = []
 
     def flaky(run, known=None):
-        calls.append((run.since_refactor, known is not None))
+        calls.append((run.pivots, known is not None))
         if len(calls) - 1 == fail_at:
             run.b_inv = None
             return False
@@ -515,11 +577,11 @@ def solve_with_failed_factor(monkeypatch, model, fail_at=None):
     return PreparedLp(lp_relaxation(model)).solve(), calls
 
 
-@pytest.mark.parametrize("which", ["exit", "join", "window"])
+@pytest.mark.parametrize("which", ["exit", "join", "drift"])
 def test_a_failed_factorization_is_never_reported_optimal(monkeypatch, which):
     model = ladder_root_model(1)
-    if which == "window":
-        monkeypatch.setattr(simplex, "REFACTOR_EVERY", 2)
+    if which == "drift":
+        monkeypatch.setattr(simplex, "DRIFT_TOL", -1.0)  # every pivot drifts
     if which != "join":
         model = unmarked(model)  # no row joins
     rejected = []
@@ -541,8 +603,8 @@ def test_a_failed_factorization_is_never_reported_optimal(monkeypatch, which):
     elif which == "join":
         at = [known for _, known in calls].index(True)  # from the kernel
     else:
-        at = 1  # the crash, then the first window
-        assert calls[at] == (2, False)
+        at = 1  # the crash, then the refactorization after the first pivot
+        assert calls[at] == (1, False)
     rejected.clear()
     sol, _ = solve_with_failed_factor(monkeypatch, model, fail_at=at)
     assert sol.status == ITERATION_LIMIT
@@ -683,8 +745,8 @@ def test_dual_infeasible_exit_is_rechecked(monkeypatch):
 
     def blind_once(run, binv_r):
         alpha = alpha_row(run, binv_r)
-        if run.since_refactor > 0 and not hidden:
-            hidden.append(run.since_refactor)
+        if run.pivots > 0 and not hidden:
+            hidden.append(run.pivots)
             alpha[:] = 0.0
         return alpha
 
@@ -707,7 +769,7 @@ def test_optimal_claim_after_pivots_is_read_again(monkeypatch):
 
     def optimal_once(run, c):
         if not claims:
-            claims.append(run.since_refactor)
+            claims.append(run.pivots)
             return OPTIMAL
         return primal(run, c)
 
@@ -863,27 +925,6 @@ def test_status_and_optimum_match_highs(model):
     assert_matches_highs(model, solves_both_ways(model))
 
 
-def test_blands_rule_matches_highs():
-    # Bland's rule from the first degenerate step on the same draws
-    pytest.importorskip("scipy")
-    solve = _Run.solve
-    switched = []
-
-    def spy(run):
-        status = solve(run)
-        switched.append(run.bland)
-        return status
-
-    @settings(max_examples=300, deadline=None)
-    @given(open_lps())
-    def check(model):
-        assert_matches_highs(model, solves_both_ways(model))
-
-    with mock.patch.object(simplex, "BLAND_AFTER", 0), mock.patch.object(_Run, "solve", spy):
-        check()
-    assert any(switched)
-
-
 # ----- working rows: lazy rows join only when the optimum breaks them -------
 
 def test_rows_left_out_keep_their_model_shape():
@@ -896,9 +937,9 @@ def test_rows_left_out_keep_their_model_shape():
     assert sol.status == eager.status == OPTIMAL
     assert sol.objective == pytest.approx(eager.objective, rel=1e-9)
     _check_primal_feasible(model, sol.values)
-    # a 3-pivot refactor window, so the window refactorization runs on this
-    # LP too, gives the same optimum
-    with mock.patch.object(simplex, "REFACTOR_EVERY", 3):
+    # every pivot read as drifted, so the drift refactorization runs on
+    # this LP too, gives the same optimum
+    with mock.patch.object(simplex, "DRIFT_TOL", -1.0):
         short = PreparedLp(lp_relaxation(model)).solve()
     assert short.status == OPTIMAL and short.pivots > 3
     assert short.objective == pytest.approx(sol.objective, rel=1e-7)
