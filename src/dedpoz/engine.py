@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bnb import MILP_INFEASIBLE, BnbConfig, MilpSolution, solve_milp
-from .milp import _reanchor, build_milp1, build_milp2, lp_relaxation
+from .milp import _check_count, _reanchor, build_milp1, build_milp2, lp_relaxation
 from .simplex import PreparedLp
 from .system import (FeasibilityReport, Schedule, SystemInstance,
                      evaluate_cost, evaluate_violations)
@@ -39,8 +39,8 @@ class IaConfig:
     def __post_init__(self):
         if not self.epsilon > 0:  # NaN too
             raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.iter_max < 1:
-            raise ValidationError(f"iter_max must be >= 1, got {self.iter_max}")
+        _check_count(self.iter_max, "iter_max")
+        _check_count(self.tangent_steps, "tangent_steps")
         self._bnb()  # validates gap, time_limit_s and node_limit
 
     def _bnb(self) -> BnbConfig:
@@ -95,11 +95,9 @@ def _diagnose_infeasibility(instance: SystemInstance) -> str | None:
     for t in range(instance.n_periods):
         d = instance.demand[t]
         if cap < d - 1e-9:
-            return (f"period {t + 1}: total capacity {cap:g} MW cannot meet "
-                    f"demand {d:g} MW")
+            return f"period {t + 1}: total capacity {cap:g} MW cannot meet demand {d:g} MW"
         if floor > d + 1e-9:
-            return (f"period {t + 1}: total minimum output {floor:g} MW "
-                    f"exceeds demand {d:g} MW")
+            return f"period {t + 1}: total minimum output {floor:g} MW exceeds demand {d:g} MW"
         room = min(cap - d, ramp_room)
         if room < instance.reserve[t] - 1e-9:
             return (f"period {t + 1}: at most {room:g} MW of reserve is "

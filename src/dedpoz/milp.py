@@ -290,13 +290,17 @@ class TangentPlan:
     points: tuple
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValidationError(f"tangent steps must be >= 1, got {self.steps}")
+        _check_count(self.steps, "tangent steps")
+
+
+def _check_count(value, what):
+    """Raise ValidationError unless ``value`` is an int or numpy integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{what} must be >= 1 and an integer, got {value!r}")
 
 
 def make_tangent_plan(instance: SystemInstance, steps: int = DEFAULT_TANGENT_STEPS) -> TangentPlan:
-    if steps < 1:
-        raise ValidationError(f"tangent steps must be >= 1, got {steps}")
+    _check_count(steps, "tangent steps")
     pts = tuple(
         tuple(tuple(seg.lo + ell * seg.width / steps for ell in range(steps + 1))
               for seg in segs)
@@ -337,8 +341,7 @@ def _assemble(blocks) -> tuple:
 
 
 def _build(instance: SystemInstance, steps: int, anchors, lossy: bool) -> tuple:
-    if steps < 1:
-        raise ValidationError(f"tangent steps must be >= 1, got {steps}")
+    _check_count(steps, "tangent steps")
     n, t_count = instance.n_units, instance.n_periods
     n_it = n * t_count
     # one slot per (unit, period, segment), in that order; row g of
@@ -612,8 +615,7 @@ def dump_lp_text(model: MilpModel) -> str:
     obj = " ".join(term(j, c) for j, c in model.objective)
     if model.objective_constant:
         obj += f" {model.objective_constant:+.12g}"
-    lines.append(f"  {obj}")
-    lines.append("bounds")
+    lines += [f"  {obj}", "bounds"]
     for v in model.variables:
         lines.append(f"  {v.lb:.12g} <= {v.name} <= {v.ub:.12g}")
     lines.append("subject to")

@@ -16,10 +16,9 @@ Revised simplex with an explicit basis inverse.  Design points:
   slack basic, and after one factorization of the grown basis the run
   goes on through the dual start.  A working LP that is unbounded joins
   every row left out the same way.  The set only grows and is shared by
-  all solves of a prepared model, so branch-and-bound nodes start from
-  the root's rows.
-  Bases, duals and ``m`` keep the shape of the whole model; a row left out
-  holds its own slack basic at its own position;
+  all solves of a prepared model, so branch-and-bound nodes start from the
+  root's rows.  Bases, duals and ``m`` keep the shape of the whole model;
+  a row left out holds its own slack basic at its own position;
 * every solve starts by dual simplex, then finishes by primal simplex.  A
   cold start factors a crash basis (Bixby 1992): every row's slack, except
   that each free structural column (the segment cost epigraphs) takes the
@@ -31,12 +30,11 @@ Revised simplex with an explicit basis inverse.  Design points:
   the loss loop); re-solving an already-optimal basis costs zero pivots.
   A returned basis carries the inverse the run ended with, by its
   nonzeros.  A warm start on the same prepared model (a branch-and-bound
-  child, the rounding heuristic) rebuilds its inverse from them with one
-  scatter and no inversion, bordered with the rows that joined since,
-  each holding its own slack; rows that join a run are bordered on the
-  inverse held the same way.  After one edit of the prepared model (the
-  next pass of the loss loop) the carried inverse takes a rank-|R|
-  Sherman-Morrison-Woodbury update for the |R| rows the edit rewrote.
+  child, the rounding heuristic) rebuilds it from them with one scatter,
+  bordered with the rows that joined since, each holding its own slack,
+  as rows that join a run are.  After one edit of the prepared model (the
+  next loss pass) it takes a rank-|R| Sherman-Morrison-Woodbury update
+  for the |R| rows the edit rewrote.
   Either way, a boxed nonbasic column that prices with the wrong sign
   moves to its other bound, and any other one has its cost shifted by
   minus its reduced cost for the dual phase (cost shifting); the primal
@@ -58,23 +56,25 @@ Revised simplex with an explicit basis inverse.  Design points:
   order, it passes them, each column moving to its other bound (a bound
   flip, counted as an iteration), and runs Harris over the rest; a row that
   outlasts every breakpoint proves infeasibility;
-* most basic columns are slacks, i.e. unit vectors, so a fresh
+* B^-1 lives in one object, ``_Inverse``, the only code that knows it is
+  a dense m x m array: it factors a basis, updates across an exchange, and
+  gives products (a column, FTRAN, a row, BTRAN) and the nonzeros a
+  returned basis carries.  Most basic columns are slacks, so a fresh
   factorization (the crash, a recheck, a drifted pivot) inverts only the
-  kernel: the structural basic columns on the rows no unit column covers.
-  The rest of the inverse follows from it by block elimination;
-* between factorizations the inverse takes a rank-1 update per pivot,
-  applied only where the entering column and the pivot row are nonzero
-  (both are sparse on dispatch models), along however long a chain of warm
-  starts reuses a carried inverse.  Only evidence refactors: a pivot
-  whose element read from the column, w_r, and from the row, alpha_q,
-  differ by more than ``DRIFT_TOL`` relative to w_r (Maros 2003);
+  kernel, the structural basic columns on the rows no slack covers;
+* between factorizations the inverse takes a rank-1 update per pivot, on
+  the nonzeros of the entering column and of the pivot row, along however
+  long a chain of warm starts reuses a carried inverse.  A pivot refactors
+  when its element read from the column, w_r, and from the row, alpha_q,
+  differ by more than ``DRIFT_TOL`` relative to w_r (Maros 2003).  With an
+  explicit inverse both are one dot product summed in two orders, so the
+  check sees only summation round-off; it becomes a real one once FTRAN
+  and BTRAN run through separate factors;
 * a product with the inverse is nonzero where it exceeds ``ZERO_TOL`` in
-  magnitude: the entering column w = B^-1 a_q, the pivot row, the
-  inverse a basis carries and the Woodbury factors.  Exact cancellations
-  leave round-off near 1e-16 that later updates multiply again (bands
-  near 1e-31, 1e-48, ...); read as support, it made most of each update
-  and of each carried inverse.  The inverse held keeps those entries, and
-  nothing zeroes them;
+  magnitude (the entering column, the pivot row, a carried inverse, the
+  Woodbury factors): exact cancellations leave round-off near 1e-16 that
+  later updates multiply again (1e-31, 1e-48, ...), which read as support
+  made most of each update.  The inverse held keeps those entries;
 * the iterate and reduced costs are updated per pivot, on the nonzeros of
   the entering column and of the pivot row, and recomputed from scratch
   at every refactorization;
@@ -380,7 +380,7 @@ class PreparedLp(_Form):
         status = np.full(self.ncols, AT_LOWER, dtype=np.int8)
         status[n:n + m] = BASIC
         status[work.full_col] = run.status
-        return Basis(basic, status, run._kernel())
+        return Basis(basic, status, run.inv.carried)
 
     def _solution(self, run, status) -> LpSolution:
         work, x = run.prep, run.x
@@ -391,8 +391,8 @@ class PreparedLp(_Form):
         duals = np.zeros(self.m)
         if run.fresh is not None and run.fresh[0] is work.c:
             duals[work.rows] = run.fresh[1] / work.row_scale
-        elif run.b_inv is not None:
-            duals[work.rows] = (run.b_inv.T @ work.c[run.basic]) / work.row_scale
+        elif run.inv.held:
+            duals[work.rows] = run.inv.btran(work.c[run.basic]) / work.row_scale
         duals.setflags(write=False)
         objective = float(work.c @ x + work.constant)
         if status == INFEASIBLE:
@@ -414,14 +414,6 @@ def _row_norms(a) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
-def _zeroed(buf, m) -> np.ndarray:
-    """An m x m array of zeros: ``buf`` refilled if its shape holds."""
-    if buf is None or buf.shape != (m, m):
-        return np.zeros((m, m))
-    buf.fill(0.0)
-    return buf
-
-
 def _default_status(lo, hi) -> np.ndarray:
     """Per column: at the finite bound nearer zero, else free at zero."""
     fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
@@ -431,70 +423,76 @@ def _default_status(lo, hi) -> np.ndarray:
     return status
 
 
-class _Run:
-    def __init__(self, prep, lower, upper, warm_start, max_iters):
-        self.prep = prep
-        self.max_iters = max_iters
-        self.lo = prep.lo_template.copy()
-        self.hi = prep.hi_template.copy()
-        n = prep.n_struct
-        if lower is not None:
-            self.lo[:n] = lower
-        if upper is not None:
-            self.hi[:n] = upper
-        self.warm = warm_start
-        self.status = np.empty(prep.ncols, dtype=np.int8)
-        self.basic = np.empty(prep.m, dtype=np.int64)
-        self.b_inv = None  # None while the basis is not factored
-        self.drifted = False  # set by a pivot whose two readings of w_r disagree
-        # (costs, y = B^-T c_B) of the last refresh, None once a pivot, flip
-        # or factorization has come since: x and y need no recomputing
-        self.fresh = None
-        self.weights = None  # dual steepest-edge weights, kept after STEEP_AFTER pivots
-        self.dirn = None  # per column, the way the dual ratio test may move it (see _dual)
-        self.proof = None  # what the last infeasible or unbounded verdict rests on
-        self.x = np.zeros(prep.ncols)
-        self.d = np.zeros(prep.ncols)
-        self.pivots = 0
-        self.iters = 0
+class _Inverse:
+    """The basis inverse B^-1 a run holds, as a dense m x m array, and once
+    ``steepen`` is called the dual steepest-edge weights beta_i =
+    |e_i^T B^-1|^2.  It was last factored for the basis ``basic`` of the
+    working rows ``prep``; the run's exchanges write ``basic`` in place."""
 
-    # ----- state helpers ---------------------------------------------------
+    def __init__(self):
+        self.b_inv = None  # None while no basis is factored
+        self.weights = None
+        self.prep = self.basic = None
 
-    def _blocks(self):
-        """``(s_pos, u_pos, ru, k_rows)``: the structural and the slack
-        (unit column) basic positions, the rows the slacks cover and the
-        rest, the kernel rows; None if a row is covered twice, which makes
-        the basis singular."""
-        unit = self.basic >= self.prep.n_struct
-        u_pos = np.flatnonzero(unit)
-        ru = self.basic[u_pos] - self.prep.n_struct
-        covered = np.zeros(self.prep.m, dtype=bool)
-        covered[ru] = True
-        if np.count_nonzero(covered) != ru.size:
-            return None
-        return np.flatnonzero(~unit), u_pos, ru, np.flatnonzero(~covered)
+    @property
+    def held(self) -> bool:
+        return self.b_inv is not None
 
-    def _factor(self, known=None) -> bool:
-        """Invert the basis; False, with no inverse held, if it is singular.
-        A ``known`` inverse (see ``Basis``) that fits the basis is rebuilt
-        from its nonzeros instead (``_reload``).
+    @property
+    def steep(self) -> bool:
+        return self.weights is not None
+
+    def steepen(self):
+        """Keep the weights from now on, read off B^-1 here."""
+        self.weights = _row_norms(self.b_inv)
+
+    def steepest(self, viol, rows) -> int:
+        """Of ``rows``, the one with the largest viol_i^2 / beta_i."""
+        return int(rows[(viol[rows] ** 2 / self.weights[rows]).argmax()])
+
+    def column(self, q) -> np.ndarray:
+        """B^-1 a_q, for column q of the working rows."""
+        prep = self.prep
+        if q >= prep.n_struct:
+            return self.b_inv[:, q - prep.n_struct].copy()
+        s, e = prep.col_ptr[q], prep.col_ptr[q + 1]
+        return self.ftran(prep.col_vals[s:e], prep.col_rows[s:e])
+
+    def ftran(self, v, rows=None) -> np.ndarray:
+        """B^-1 v; given ``rows``, v holds only its entries on those rows."""
+        return self.b_inv @ v if rows is None else self.b_inv[:, rows] @ v
+
+    def row(self, r) -> np.ndarray:
+        """e_r^T B^-1, as a view that must not be written."""
+        return self.b_inv[r]
+
+    def btran(self, v) -> np.ndarray:
+        """v^T B^-1."""
+        return self.b_inv.T @ v
+
+    def factor(self, prep, basic, known=None) -> bool:
+        """Invert the basis ``basic`` of the working rows ``prep``; False,
+        with no inverse held, if it is singular.  A ``known`` inverse (see
+        ``Basis``) that fits is rebuilt from its nonzeros (``_reload``).
 
         Otherwise through the structural kernel: with S the structural basic
         positions, U the slack ones (unit columns), ``ru`` the rows U covers
         and K the rest, the inverse is A[K,S]^-1 on (S,K), -A[ru,S] A[K,S]^-1
         on (U,K), the identity on (U,ru) and zero elsewhere.
         """
-        prep = self.prep
-        buf, self.b_inv = self.b_inv, None  # refilled in place if its shape holds
-        self.fresh = None
-        self.drifted = False
-        b_inv = None if known is None else self._reload(known, buf)
+        self.prep, self.basic = prep, basic
+        self.b_inv = None  # freed before the new inverse is made
+        b_inv = None if known is None else self._reload(known)
         if b_inv is None:
-            blocks = self._blocks()
-            if blocks is None:
-                return False
-            s_pos, u_pos, ru, k_rows = blocks
-            cols = prep.structural_columns(self.basic[s_pos])
+            unit = basic >= prep.n_struct
+            u_pos = np.flatnonzero(unit)
+            ru = basic[u_pos] - prep.n_struct
+            covered = np.zeros(prep.m, dtype=bool)
+            covered[ru] = True
+            if np.count_nonzero(covered) != ru.size:
+                return False  # a row covered twice
+            s_pos, k_rows = np.flatnonzero(~unit), np.flatnonzero(~covered)
+            cols = prep.structural_columns(basic[s_pos])
             try:
                 kernel_inv = np.linalg.inv(cols[k_rows])
             except np.linalg.LinAlgError:
@@ -503,7 +501,7 @@ class _Run:
                 return False
             on_u = -(cols[ru] @ kernel_inv)
             del cols  # fewer m-row arrays alive beside the new inverse
-            b_inv = _zeroed(buf, prep.m)
+            b_inv = np.zeros((prep.m, prep.m))
             b_inv[s_pos[:, None], k_rows] = kernel_inv
             b_inv[u_pos[:, None], k_rows] = on_u
             b_inv[u_pos, ru] = 1.0
@@ -512,12 +510,11 @@ class _Run:
             self.weights = _row_norms(b_inv)
         return True
 
-    def _reload(self, known, buf):
-        """B^-1 rebuilt from a carried inverse (see ``Basis``) in ``buf`` if
-        its shape holds; None if it does not fit: another model (apart from
-        the one edit ``PreparedLp._edit`` recorded), rows that are not a
-        subset of the working rows, or another basic column at one of its
-        positions.
+    def _reload(self, known):
+        """B^-1 rebuilt from a carried inverse (see ``Basis``); None if it
+        does not fit: another model (apart from the one edit
+        ``PreparedLp._edit`` recorded), rows that are not a subset of the
+        working rows, or another basic column at one of its positions.
 
         Each working row it does not cover must hold its own slack basic, so
         its row of B^-1 is e_j - A[j,B] B^-1, formed from the nonzeros of the
@@ -542,7 +539,7 @@ class _Run:
         if not (np.array_equal(model_cols[old], cols)
                 and np.array_equal(model_cols[new], n + prep.rows[new])):
             return None
-        b_inv = _zeroed(buf, m)
+        b_inv = np.zeros((m, m))
         flat = b_inv.view()
         flat.shape = -1
         of_w = prep.from_full[n + of] - n
@@ -605,9 +602,10 @@ class _Run:
             b_inv[np.ix_(block, on_z)] -= c[block] @ z
         return True
 
-    def _kernel(self):
-        """The inverse held, as a ``Basis`` carries it, or None while the
-        basis is not factored."""
+    @property
+    def carried(self):
+        """The inverse held, as a ``Basis`` carries it, or None while no
+        basis is factored."""
         if self.b_inv is None:
             return None
         prep, m = self.prep, self.prep.m
@@ -620,7 +618,7 @@ class _Run:
         return (prep.token, prep.rows, prep.full_col[self.basic], prep.rows[at],
                 prep.rows[nz - at * m], vals)
 
-    def _update_b_inv(self, w, r, rows):
+    def update(self, w, r, rows):
         """Rank-1 update of B^-1 for the exchange at position r, with
         w = B^-1 a_q above ZERO_TOL on ``rows``, over the columns where rho
         is; the entries skipped are round-off.  Row i becomes rho_i - w_i
@@ -650,19 +648,54 @@ class _Run:
             if drifted.size:
                 beta[drifted] = _row_norms(b_inv[drifted])
 
+
+class _Run:
+    def __init__(self, prep, lower, upper, warm_start, max_iters):
+        self.prep = prep
+        self.max_iters = max_iters
+        self.lo = prep.lo_template.copy()
+        self.hi = prep.hi_template.copy()
+        n = prep.n_struct
+        if lower is not None:
+            self.lo[:n] = lower
+        if upper is not None:
+            self.hi[:n] = upper
+        self.warm = warm_start
+        self.status = np.empty(prep.ncols, dtype=np.int8)
+        self.basic = np.empty(prep.m, dtype=np.int64)
+        self.inv = _Inverse()
+        self.drifted = False  # set by a pivot whose two readings of w_r disagree
+        # (costs, y = B^-T c_B) of the last refresh, None once a pivot, flip
+        # or factorization has come since: x and y need no recomputing
+        self.fresh = None
+        self.dirn = None  # per column, the way the dual ratio test may move it (see _dual)
+        self.proof = None  # what the last infeasible or unbounded verdict rests on
+        self.x = np.zeros(prep.ncols)
+        self.d = np.zeros(prep.ncols)
+        self.pivots = 0
+        self.iters = 0
+
+    # ----- state helpers ---------------------------------------------------
+
+    def _factor(self, known=None) -> bool:
+        """Factor the basis (``_Inverse.factor``); False if it is singular."""
+        self.fresh = None
+        self.drifted = False
+        return self.inv.factor(self.prep, self.basic, known)
+
     def _compute_x(self) -> np.ndarray:
         x = np.zeros(self.prep.ncols)
         at_lo = self.status == AT_LOWER
         at_hi = self.status == AT_UPPER
         x[at_lo] = self.lo[at_lo]
         x[at_hi] = self.hi[at_hi]
-        x[self.basic] = self.b_inv @ (self.prep.b - self.prep.ax(x))
+        x[self.basic] = self.inv.ftran(self.prep.b - self.prep.ax(x))
         return x
 
     def _refresh(self, c):
         """Recompute the iterate and reduced costs for the current basis."""
         self.x = self._compute_x()
-        y = self.b_inv.T @ c[self.basic]
+        y = self.inv.btran(c[self.basic])
         self.d = c - self.prep.aty(y)
         self.d[self.basic] = 0.0
         self.fresh = (c, y)
@@ -680,24 +713,6 @@ class _Run:
         status = self.status
         return (movable & (d < -DUAL_TOL) & ((status == AT_LOWER) | (status == FREE_ZERO)),
                 movable & (d > DUAL_TOL) & ((status == AT_UPPER) | (status == FREE_ZERO)))
-
-    def _w_col(self, q) -> np.ndarray:
-        """Basis-transformed column B^-1 a_q."""
-        prep = self.prep
-        n = prep.n_struct
-        if q < n:
-            s, e = prep.col_ptr[q], prep.col_ptr[q + 1]
-            return self.b_inv[:, prep.col_rows[s:e]] @ prep.col_vals[s:e]
-        return self.b_inv[:, q - n].copy()
-
-    def _alpha_row(self, binv_r) -> np.ndarray:
-        """One tableau row: (B^-1 A)[r] across all columns."""
-        prep = self.prep
-        n = prep.n_struct
-        return np.concatenate([np.bincount(prep.cols_nz,
-                                           weights=prep.vals_nz * binv_r[prep.rows_nz],
-                                           minlength=n)
-                               if prep.rows_nz.size else np.zeros(n), binv_r])
 
     def _exchange(self, r, q, w, alpha, step, to_lower):
         """Basis exchange at position r: q enters, moved by ``step``, with
@@ -726,7 +741,7 @@ class _Run:
         self.dirn[q] = 0.0
         self.dirn[leaving] = (0.0 if self.lo[leaving] == self.hi[leaving]
                               else 1.0 if to_lower else -1.0)
-        self._update_b_inv(w, r, rows)
+        self.inv.update(w, r, rows)
         self.pivots += 1
 
     # ----- start paths -----------------------------------------------------
@@ -819,8 +834,7 @@ class _Run:
         other bound.  Any other one has its cost shifted by minus its
         reduced cost for the dual phase; y depends only on basic costs, so
         that zeroes its reduced cost and nothing else's."""
-        y = self.b_inv.T @ c[self.basic]
-        d = c - self.prep.aty(y)
+        d = c - self.prep.aty(self.inv.btran(c[self.basic]))
         movable = (self.lo < self.hi) & (self.status != BASIC)
         up = movable & ((self.status == AT_LOWER) | (self.status == FREE_ZERO)) & (d < -1e-6)
         down = movable & ((self.status == AT_UPPER) | (self.status == FREE_ZERO)) & (d > 1e-6)
@@ -857,7 +871,7 @@ class _Run:
             score = np.where(elig, np.abs(d) / prep.col_scale, -1.0)
             q = int(np.argmax(score))
             s = 1.0 if elig_inc[q] else -1.0
-            w = self._w_col(q)
+            w = self.inv.column(q)
             delta = s * w
             xb = x[self.basic]
             lb = self.lo[self.basic]
@@ -886,7 +900,7 @@ class _Run:
                 cap = float((np.minimum(r_lo, r_hi) + HARRIS_TOL / np.abs(delta)).min())
             cands = np.flatnonzero(ratios <= max(theta_basic + 1e-12, min(cap, span)))
             r = int(cands[np.argmax(np.abs(delta[cands]))])
-            alpha = self._alpha_row(self.b_inv[r])
+            alpha = prep.aty(self.inv.row(r))
             self._exchange(r, q, w, alpha, s * float(ratios[r]), delta[r] > 0)
 
     # ----- dual simplex ----------------------------------------------------
@@ -900,6 +914,7 @@ class _Run:
         candidates are where alpha * dirn has the leaving row's sign and
         exceeds PIVOT_TOL; the free nonbasic columns, which may move either
         way, are taken apart."""
+        prep, inv = self.prep, self.inv
         movable = self.lo < self.hi
         status = self.status
         self.dirn = ((movable & (status == AT_LOWER)).astype(float)
@@ -911,24 +926,24 @@ class _Run:
                 return ITERATION_LIMIT
             if self.drifted and not self._refactor(c):
                 return ITERATION_LIMIT
-            if self.weights is None and self.pivots >= STEEP_AFTER:
-                self.weights = _row_norms(self.b_inv)
+            if not inv.steep and self.pivots >= STEEP_AFTER:
+                inv.steepen()
             d = self.d
             xb = self.x[self.basic]
             below = self.lo[self.basic] - xb
             above = xb - self.hi[self.basic]
             viol = np.maximum(below, above)
-            if self.weights is not None:
+            if inv.steep:
                 worst = (viol > FEAS_TOL).nonzero()[0]
                 if worst.size == 0:
                     return OPTIMAL
-                r = int(worst[(viol[worst] ** 2 / self.weights[worst]).argmax()])
+                r = inv.steepest(viol, worst)
             else:
                 r = int(viol.argmax()) if viol.size else -1
                 if r < 0 or not viol[r] > FEAS_TOL:
                     return OPTIMAL
             is_below = below[r] >= above[r]
-            alpha = self._alpha_row(self.b_inv[r])
+            alpha = prep.aty(inv.row(r))
             signed = alpha * self.dirn
             cand = (signed < -PIVOT_TOL if is_below else signed > PIVOT_TOL).nonzero()[0]
             if free.size:
@@ -941,7 +956,7 @@ class _Run:
             mag = np.abs(denom)
             raw = d[cand] / denom
             ratios = np.maximum(raw, 0.0)
-            if self.weights is not None:
+            if inv.steep:
                 # each breakpoint passed cuts the row's infeasibility by
                 # |alpha_j| (u_j - l_j); a free column cannot be passed, nor
                 # one that leaves the row within FEAS_TOL of its bound
@@ -961,7 +976,7 @@ class _Run:
             cap = float((raw + HARRIS_TOL / mag).min())
             near = (ratios <= max(float(ratios.min()) + 1e-12, cap)).nonzero()[0]
             q = int(cand[near[mag[near].argmax()]])
-            w = self._w_col(q)
+            w = inv.column(q)
             leaving = self.basic[r]
             target = self.lo[leaving] if is_below else self.hi[leaving]
             self.iters += 1
@@ -972,15 +987,13 @@ class _Run:
         their other bounds, and the basic variables with them:
         x_B -= B^-1 sum_j a_j delta_j, over the rows where that sum is
         nonzero.  Each move counts as an iteration."""
-        n = self.prep.n_struct
         up = self.status[cols] == AT_LOWER
         to = np.where(up, self.hi[cols], self.lo[cols])
-        delta = to - self.x[cols]
-        structural = cols < n
-        moved = self.prep.structural_columns(cols[structural]) @ delta[structural]
-        moved[cols[~structural] - n] += delta[~structural]
+        delta = np.zeros(self.prep.ncols)
+        delta[cols] = to - self.x[cols]
+        moved = self.prep.ax(delta)
         on = np.flatnonzero(moved)
-        self.x[self.basic] -= self.b_inv[:, on] @ moved[on]
+        self.x[self.basic] -= self.inv.ftran(moved[on], on)
         self.x[cols] = to
         self.fresh = None
         self.status[cols] = np.where(up, AT_UPPER, AT_LOWER)
@@ -1011,10 +1024,10 @@ class _Run:
                 self._factor()
             else:
                 return ITERATION_LIMIT
-            if self.b_inv is None:  # the recheck or the grown basis failed to factor
+            if not self.inv.held:  # the recheck or the grown basis failed to factor
                 return ITERATION_LIMIT
             status = self._dual_start(self.prep.c)
-        if self.b_inv is not None and self.fresh is None:
+        if self.inv.held and self.fresh is None:
             self.x = self._compute_x()
         return status
 
@@ -1035,8 +1048,8 @@ class _Run:
         round-off on a basic free column would make every range infinite."""
         prep, c = self.prep, self.prep.c
         if status == INFEASIBLE:
-            y = self.b_inv[self.proof]
-            alpha = self._alpha_row(y)
+            y = self.inv.row(self.proof)
+            alpha = prep.aty(y)
             alpha[(np.abs(alpha) <= PIVOT_TOL) & np.isinf(self.hi - self.lo)] = 0.0
             pos, neg = alpha > 0.0, alpha < 0.0
             low = alpha[pos] @ self.lo[pos] + alpha[neg] @ self.hi[neg]
@@ -1055,7 +1068,7 @@ class _Run:
             return not (inc.any() or dec.any())
         q, s = self.proof
         ray = np.zeros(prep.ncols)
-        ray[self.basic] = -s * self._w_col(q)
+        ray[self.basic] = -s * self.inv.column(q)
         ray[q] = s
         blocked = (ray > PIVOT_TOL) & np.isfinite(self.hi) | (ray < -PIVOT_TOL) & np.isfinite(self.lo)
         return bool(c @ ray < -DUAL_TOL and not blocked.any()
@@ -1069,7 +1082,7 @@ class _Run:
     def _join(self, rows) -> bool:
         """Move onto the working rows grown by the model ``rows``, each new
         row holding its own slack basic, and border the inverse held with
-        them (``_reload``); False if all rows are in already.
+        them (``_Inverse.factor``); False if all rows are in already.
 
         The new slacks have zero cost, so the duals of the old rows stay
         and the new rows price at zero: an optimal basis stays dual
@@ -1077,8 +1090,7 @@ class _Run:
         old = self.prep
         if not old.model._activate(rows):
             return False
-        known = self._kernel()
-        self.b_inv = None  # the old inverse has the old shape
+        known = self.inv.carried
         new = old.model._working()
         n = old.n_struct
         to_new = new.from_full[old.full_col]

@@ -54,6 +54,18 @@ def test_config_validation():
         IaConfig(node_limit=-1)
 
 
+@pytest.mark.parametrize("field", ["iter_max", "tangent_steps"])
+@pytest.mark.parametrize("value", [0, 2.5, 3.0, True])
+def test_config_counts_that_are_not_integers_fail_at_once(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be >= 1 and an integer"):
+        IaConfig(**{field: value})
+
+
+def test_config_counts_take_numpy_integers():
+    config = IaConfig(iter_max=np.int64(3), tangent_steps=np.int32(4))
+    assert config.iter_max == 3 and config.tangent_steps == 4
+
+
 def test_midpoint_anchor():
     a = np.array([[10.0, 20.0]])
     b = np.array([[30.0, 10.0]])

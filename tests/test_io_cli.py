@@ -593,6 +593,15 @@ def test_cli_bench_bad_factors(tmp_path, capsys, factors, match):
     assert match in capsys.readouterr().err
 
 
+def test_cli_bench_with_no_tangents_fails_before_its_header(tmp_path, capsys):
+    path = _write_json(tmp_path, instance_dict())
+    rc = main(["bench", "--instance", path, "--tangents", "0"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "tangent_steps must be >= 1" in captured.err
+
+
 def test_library_modules_make_no_print_calls():
     # only the CLI writes to the terminal; library code reports through
     # return values, exceptions and the streams its callers pass in

@@ -121,6 +121,23 @@ def test_tangent_plan_points():
         TangentPlan(steps=0, points=())
 
 
+@pytest.mark.parametrize("steps", [0, -2, 2.5, 3.0, True, "4"])
+def test_tangent_steps_that_are_not_a_count_fail_at_once(steps):
+    instance = _instance()
+    lossy = random_lossy_instance(np.random.default_rng(4))
+    for build in (lambda: build_milp1(instance, steps), lambda: build_milp2(lossy, steps),
+                  lambda: make_tangent_plan(instance, steps),
+                  lambda: TangentPlan(steps=steps, points=())):
+        with pytest.raises(ValidationError, match="tangent steps must be >= 1 and an integer"):
+            build()
+
+
+def test_numpy_integer_tangent_steps_build_the_same_model():
+    instance = _instance()
+    assert build_milp1(instance, np.int64(3))[0] == build_milp1(instance, 3)[0]
+    assert make_tangent_plan(instance, np.int32(2)) == make_tangent_plan(instance, 2)
+
+
 def test_tangent_cut_is_supporting_line():
     beta, gamma = 1.7, 0.03
     rng = np.random.default_rng(3)

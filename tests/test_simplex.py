@@ -27,6 +27,7 @@ from dedpoz.simplex import (
     Basis,
     PreparedLp,
     _default_status,
+    _Inverse,
     _Run,
     _WorkingRows,
     solve_lp,
@@ -286,9 +287,19 @@ def all_rows(prep):
 
 
 def factored(prep, basic):
-    run = _Run(all_rows(prep), None, None, None, DEFAULT_MAX_ITERS)
-    run.basic = np.asarray(basic, dtype=np.int64)
-    return run, run._factor()
+    inv = _Inverse()
+    return inv, inv.factor(all_rows(prep), np.asarray(basic, dtype=np.int64))
+
+
+def times_basis(inv, prep, basic):
+    """The inverse held times the basis ``dense_basis`` builds, one FTRAN
+    per basis column."""
+    return np.column_stack([inv.ftran(a) for a in dense_basis(prep, basic).T])
+
+
+def held_rows(inv, m):
+    """The m x m inverse held, read one row at a time."""
+    return np.array([inv.row(i) for i in range(m)])
 
 
 def ladder_root_model(copies):
@@ -306,9 +317,9 @@ def test_kernel_factor_inverts_final_ladder_basis():
     assert sol.status == OPTIMAL
     basic = sol.basis.basic_idx
     assert 0 < np.count_nonzero(basic < prep.n_struct) < prep.m
-    run, ok = factored(prep, basic)
+    inv, ok = factored(prep, basic)
     assert ok
-    np.testing.assert_allclose(run.b_inv @ dense_basis(prep, basic),
+    np.testing.assert_allclose(times_basis(inv, prep, basic),
                                np.eye(prep.m), rtol=0.0, atol=1e-9)
 
 
@@ -322,9 +333,9 @@ def test_kernel_factor_inverts_random_unit_and_structural_mixes():
         structural = rng.choice(n, size=k, replace=False)
         covered = rng.choice(m, size=m - k, replace=False)
         basic = rng.permutation(np.concatenate([structural, n + covered]))
-        run, ok = factored(prep, basic)
+        inv, ok = factored(prep, basic)
         assert ok
-        np.testing.assert_allclose(run.b_inv @ dense_basis(prep, basic),
+        np.testing.assert_allclose(times_basis(inv, prep, basic),
                                    np.eye(m), rtol=0.0, atol=1e-9)
 
 
@@ -338,28 +349,29 @@ def test_kernel_factor_rejects_row_covered_twice():
 
 
 def test_sparse_update_matches_dense_formula(monkeypatch):
-    sparse_update = _Run._update_b_inv
+    sparse_update = _Inverse.update
     checked = []
 
-    def compare(run, w, r, rows):
+    def compare(inv, w, r, rows):
         # entries of w and rho at or below ZERO_TOL are round-off: the
         # update reads them as zero and nothing else
         np.testing.assert_array_equal(rows, np.flatnonzero(np.abs(w) > simplex.ZERO_TOL))
-        row = run.b_inv[r] / w[r]
+        before = held_rows(inv, w.size)
+        row = before[r] / w[r]
         w_on = np.where(np.abs(w) > simplex.ZERO_TOL, w, 0.0)
         rho = np.where(np.abs(row) > simplex.ZERO_TOL, row, 0.0)
-        expected = run.b_inv - np.outer(w_on, rho)
+        expected = before - np.outer(w_on, rho)
         expected[r] = row
-        kept = run.weights is not None
+        kept = inv.steep
         if kept:
-            beta = run.weights - 2.0 * w_on * (run.b_inv @ rho) + w_on * w_on * (rho @ rho)
+            beta = inv.weights - 2.0 * w_on * (before @ rho) + w_on * w_on * (rho @ rho)
             beta[r] = rho @ rho
-        sparse_update(run, w, r, rows)
+        sparse_update(inv, w, r, rows)
         if kept:
-            np.testing.assert_allclose(run.weights, beta, rtol=1e-10, atol=0.0)
-        checked.append((np.array_equal(run.b_inv, expected), kept))
+            np.testing.assert_allclose(inv.weights, beta, rtol=1e-10, atol=0.0)
+        checked.append((np.array_equal(held_rows(inv, w.size), expected), kept))
 
-    monkeypatch.setattr(_Run, "_update_b_inv", compare)
+    monkeypatch.setattr(_Inverse, "update", compare)
     for steep in STEEP_MODES:
         checked.clear()
         with mock.patch.object(simplex, "STEEP_AFTER", steep):
@@ -370,15 +382,16 @@ def test_sparse_update_matches_dense_formula(monkeypatch):
 
 
 def test_kept_weights_are_the_row_norms_of_the_inverse(monkeypatch):
-    update = _Run._update_b_inv
+    update = _Inverse.update
     gaps = []
 
-    def spy(run, w, r, rows):
-        update(run, w, r, rows)
-        exact = np.einsum("ij,ij->i", run.b_inv, run.b_inv)
-        gaps.append(float(np.max(np.abs(run.weights - exact) / exact)))
+    def spy(inv, w, r, rows):
+        update(inv, w, r, rows)
+        b_inv = held_rows(inv, w.size)
+        exact = np.einsum("ij,ij->i", b_inv, b_inv)
+        gaps.append(float(np.max(np.abs(inv.weights - exact) / exact)))
 
-    monkeypatch.setattr(_Run, "_update_b_inv", spy)
+    monkeypatch.setattr(_Inverse, "update", spy)
     monkeypatch.setattr(simplex, "STEEP_AFTER", 0)
     sol = ladder_root_lp(2).solve()
     assert sol.status == OPTIMAL and sol.iterations > sol.pivots
@@ -406,19 +419,19 @@ def test_a_chain_of_over_a_thousand_updates_still_inverts_its_basis(monkeypatch)
     # and every pivot after it is a rank-1 update on the same chain
     instance = load_instance(Path(__file__).parent / "fixtures" / "ded_10x24_seed1.json")
     prep = PreparedLp(lp_relaxation(build_milp1(instance, tangent_steps=4)[0]))
-    inv, update = np.linalg.inv, _Run._update_b_inv
+    inv, update = np.linalg.inv, _Inverse.update
     chains = []
 
     def count(a):
         chains.append(0)
         return inv(a)
 
-    def spy(run, w, r, rows):
+    def spy(held, w, r, rows):
         chains[-1] += 1
-        update(run, w, r, rows)
+        update(held, w, r, rows)
 
     monkeypatch.setattr(np.linalg, "inv", count)
-    monkeypatch.setattr(_Run, "_update_b_inv", spy)
+    monkeypatch.setattr(_Inverse, "update", spy)
     sol = prep.solve()
     assert sol.status == OPTIMAL
     assert len(chains) == 1 and max(chains) >= 1000
@@ -434,22 +447,22 @@ def test_a_chain_of_over_a_thousand_updates_still_inverts_its_basis(monkeypatch)
 
 
 def test_a_pivot_read_two_ways_that_disagree_refactors_before_the_next(monkeypatch):
-    # after the first pivot, the stub scales the held inverse's row r once
-    # the pivot row has been read from it: the entering column then reads
-    # w_r off the scaled row, away from alpha_q, and the inverse is wrong
+    # after the first pivot, the stub scales the entering column's w_r once
+    # the pivot row has been read: w_r then lies away from alpha_q, and the
+    # inverse updated with it is wrong
     model = unmarked(ladder_root_model(1))
     clean = PreparedLp(lp_relaxation(model)).solve()
-    alpha_row = _Run._alpha_row
+    exchange = _Run._exchange
     scaled = []
 
-    def scale_once(run, binv_r):
-        alpha = alpha_row(run, binv_r)
+    def scale_once(run, r, q, w, alpha, step, to_lower):
         if run.pivots == 1 and not scaled:
             scaled.append(run.pivots)
-            binv_r *= 1.0 + 1e-6  # a view of the held inverse's row
-        return alpha
+            w = w.copy()
+            w[r] *= 1.0 + 1e-6
+        exchange(run, r, q, w, alpha, step, to_lower)
 
-    monkeypatch.setattr(_Run, "_alpha_row", scale_once)
+    monkeypatch.setattr(_Run, "_exchange", scale_once)
     sol, calls = solve_with_failed_factor(monkeypatch, model)
     assert scaled == [1]
     # the crash, then a fresh factorization right after the second pivot
@@ -457,6 +470,81 @@ def test_a_pivot_read_two_ways_that_disagree_refactors_before_the_next(monkeypat
     assert sol.status == clean.status == OPTIMAL
     assert sol.objective == pytest.approx(clean.objective, rel=1e-9)
     _check_primal_feasible(model, sol.values)
+
+
+# ----- the inverse's operations against dense solves ------------------------
+
+def check_inverse(inv, prep, basic, rng):
+    """Each product of ``inv``, held for ``basic`` on ``prep``, against
+    np.linalg.solve on the basis ``dense_basis`` builds; and the inverse its
+    ``carried`` nonzeros rebuild gives the same products."""
+    m, solve = prep.m, np.linalg.solve
+    basis = dense_basis(prep, basic)
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
+
+    v = rng.normal(size=m)
+    close(inv.ftran(v), solve(basis, v))
+    close(inv.btran(v), solve(basis.T, v))
+    rows = np.sort(rng.choice(m, size=min(m, 6), replace=False))
+    close(inv.ftran(v[rows], rows), solve(basis, np.where(np.isin(np.arange(m), rows), v, 0.0)))
+    for r in rng.choice(m, size=min(m, 4), replace=False):
+        close(inv.row(r), solve(basis.T, np.eye(m)[r]))
+    nonbasic = np.setdiff1d(np.arange(prep.ncols), basic)
+    for q in np.concatenate([rng.choice(nonbasic, size=4, replace=False), basic[:2]]):
+        close(inv.column(q), solve(basis, dense_basis(prep, [q])[:, 0]))
+    again = _Inverse()
+    assert again.factor(prep, basic, inv.carried)
+    close(again.ftran(v), inv.ftran(v))
+    close(again.btran(v), inv.btran(v))
+
+
+def test_the_inverse_agrees_with_dense_solves_in_every_state(monkeypatch):
+    # after rank-1 updates, a border of joined rows, a reload of a carried
+    # inverse and a Woodbury correction after an edit
+    rng = np.random.default_rng(7)
+    join, load, inv = _Run._join, _Run._load_warm, np.linalg.inv
+    states, inversions = [], [0]
+
+    def count(a):
+        inversions[0] += 1
+        return inv(a)
+
+    def spy_join(run, rows):
+        if run.pivots:
+            check_inverse(run.inv, run.prep, run.basic, rng)
+            states.append("updates")
+        grown = join(run, rows)
+        if grown and run.inv.held:
+            check_inverse(run.inv, run.prep, run.basic, rng)
+            states.append("border")
+        return grown
+
+    def spy_load(run):
+        before = inversions[0]
+        ok = load(run)
+        if ok and inversions[0] == before:
+            check_inverse(run.inv, run.prep, run.basic, rng)
+            states.append("reload" if run.prep.model.edited is None else "woodbury")
+        return ok
+
+    monkeypatch.setattr(np.linalg, "inv", count)
+    monkeypatch.setattr(_Run, "_join", spy_join)
+    monkeypatch.setattr(_Run, "_load_warm", spy_load)
+    _, relaxed, children = ladder_children()
+    prep = PreparedLp(relaxed)
+    parent = prep.solve()
+    for clo, chi in children[:2]:
+        prep.solve(clo, chi, warm_start=parent.basis)
+    instance = random_lossy_instance(np.random.default_rng(2105), n_units=4, n_periods=3)
+    model, varmap = build_milp2(instance, 4, None)
+    lossy = PreparedLp(lp_relaxation(model))
+    root = lossy.solve()
+    model, rows = _reanchor(model, varmap, instance, varmap.extract_schedule(root.values).p)
+    lossy._edit(model, rows, varmap.loss_quad)
+    assert lossy.solve(warm_start=root.basis).status == OPTIMAL
+    assert {"updates", "border", "reload", "woodbury"} <= set(states)
 
 
 # ----- every optimal exit meets its rows and bounds -------------------------
@@ -562,14 +650,15 @@ FACTOR = _Run._factor
 
 def solve_with_failed_factor(monkeypatch, model, fail_at=None):
     """Solve ``model`` recording each call of ``_Run._factor`` as
-    ``(pivots, from a known kernel)``; call number ``fail_at``
-    drops the inverse and returns False, as on a singular basis."""
+    ``(pivots, from a known kernel)``; call number ``fail_at`` factors a
+    singular basis instead, which leaves no inverse held, and returns False."""
     calls = []
 
     def flaky(run, known=None):
         calls.append((run.pivots, known is not None))
         if len(calls) - 1 == fail_at:
-            run.b_inv = None
+            twice = np.full(run.prep.m, run.prep.n_struct)  # row 0's slack everywhere
+            assert not run.inv.factor(run.prep, twice) and not run.inv.held
             return False
         return FACTOR(run, known)
 
@@ -740,17 +829,21 @@ def test_dual_infeasible_exit_is_rechecked(monkeypatch):
                 ([(1, 1.0), (2, 1.0)], GE, 7.0),
                 ([(0, 1.0), (2, 1.0)], GE, 5.0)],
                [(0, 2.0), (1, 2.0), (2, 3.0)])
-    alpha_row = _Run._alpha_row
-    hidden = []
+    row, update = _Inverse.row, _Inverse.update
+    pivots, hidden = [0], []
 
-    def blind_once(run, binv_r):
-        alpha = alpha_row(run, binv_r)
-        if run.pivots > 0 and not hidden:
-            hidden.append(run.pivots)
-            alpha[:] = 0.0
-        return alpha
+    def count(inv, w, r, rows):
+        pivots[0] += 1
+        update(inv, w, r, rows)
 
-    monkeypatch.setattr(_Run, "_alpha_row", blind_once)
+    def blind_once(inv, r):
+        if pivots[0] > 0 and not hidden:
+            hidden.append(pivots[0])
+            return np.zeros_like(row(inv, r))  # a zero tableau row
+        return row(inv, r)
+
+    monkeypatch.setattr(_Inverse, "update", count)
+    monkeypatch.setattr(_Inverse, "row", blind_once)
     sol = solve_lp(model)
     assert hidden == [1]
     assert sol.status == OPTIMAL
@@ -785,7 +878,8 @@ def test_optimal_claim_after_pivots_is_read_again(monkeypatch):
 
 # x0 + x1 >= 6 and x0 - x1 <= 100 over [0, 10]^2: feasible, with its optimum
 # at (6, 0).  The crash basis holds both slacks, so B^-1 is the identity;
-# each held inverse below replaces it on the first factorization only
+# each held inverse below replaces it on the first factorization only, as
+# a carried inverse of the same basis that the inverse reloads
 CERTIFIED_LP = lp([(0.0, 10.0), (0.0, 10.0)],
                   [([(0, 1.0), (1, 1.0)], GE, 6.0), ([(0, 1.0), (1, -1.0)], LE, 100.0)],
                   [(0, 2.0), (1, 3.0)])
@@ -809,7 +903,10 @@ def test_a_verdict_the_inverse_held_cannot_back_is_rejected(monkeypatch, claim, 
     def drifted_once(run, known=None):
         ok = factor(run, known)
         if not verdicts:
-            run.b_inv = np.array(held)
+            token, rows, cols = run.inv.carried[:3]
+            at, of = np.nonzero(held)
+            wrong = (token, rows, cols, rows[at], rows[of], np.array(held)[at, of])
+            assert run.inv.factor(run.prep, run.basic, wrong)
         return ok
 
     def spy(run, status):
@@ -1191,7 +1288,7 @@ def test_crash_holds_every_free_column_on_a_triangular_basis():
         if k < 2:
             assert np.count_nonzero(on_struct & fixed) > 0
         assert np.all(run.status[basic] == BASIC)
-        np.testing.assert_allclose(run.b_inv @ dense_basis(prep, basic), np.eye(m),
+        np.testing.assert_allclose(times_basis(run.inv, prep, basic), np.eye(m),
                                    rtol=0.0, atol=1e-9)
 
 
@@ -1281,8 +1378,8 @@ def test_coordinate_entries_are_in_row_order(model):
 # ----- a warm start reuses the kernel inverse its basis came with -----------
 
 def spy_warm_loads(monkeypatch):
-    """Per warm load, ``(np.linalg.inv calls, whether b_inv inverts the
-    loaded basis)``."""
+    """Per warm load, ``(np.linalg.inv calls, whether the inverse held
+    inverts the loaded basis)``."""
     load, inv = _Run._load_warm, np.linalg.inv
     inversions, loads = [0], []
 
@@ -1293,7 +1390,7 @@ def spy_warm_loads(monkeypatch):
     def spy(run):
         before = inversions[0]
         ok = load(run)
-        exact = ok and np.allclose(run.b_inv @ dense_basis(run.prep, run.basic),
+        exact = ok and np.allclose(times_basis(run.inv, run.prep, run.basic),
                                    np.eye(run.prep.m), rtol=0.0, atol=1e-9)
         loads.append((inversions[0] - before, exact))
         return ok
