@@ -596,6 +596,7 @@ def tangent_gap_bound(instance: SystemInstance, schedule: Schedule, steps: int) 
     """Worst-case total underestimation of the fuel cost by the tangent
     envelope, given each output's active segment: gamma * (w / steps)**2 / 4
     summed over all unit-periods, with w the active segment's width."""
+    _check_count(steps, "tangent steps")
     total = 0.0
     for i, unit in enumerate(instance.units):
         segs = instance.segments[i]

@@ -30,11 +30,9 @@ Revised simplex with an explicit basis inverse.  Design points:
   the loss loop); re-solving an already-optimal basis costs zero pivots.
   A returned basis carries the inverse the run ended with, by its
   nonzeros.  A warm start on the same prepared model (a branch-and-bound
-  child, the rounding heuristic) rebuilds it from them with one scatter,
-  bordered with the rows that joined since, each holding its own slack,
-  as rows that join a run are.  After one edit of the prepared model (the
-  next loss pass) it takes a rank-|R| Sherman-Morrison-Woodbury update
-  for the |R| rows the edit rewrote.
+  child, the rounding heuristic) rebuilds it from them, and after one
+  edit of the prepared model (the next loss pass) it takes a rank-|R|
+  Sherman-Morrison-Woodbury update for the |R| rows the edit rewrote.
   Either way, a boxed nonbasic column that prices with the wrong sign
   moves to its other bound, and any other one has its cost shifted by
   minus its reduced cost for the dual phase (cost shifting); the primal
@@ -59,9 +57,11 @@ Revised simplex with an explicit basis inverse.  Design points:
 * B^-1 lives in one object, ``_Inverse``, the only code that knows it is
   a dense m x m array: it factors a basis, updates across an exchange, and
   gives products (a column, FTRAN, a row, BTRAN) and the nonzeros a
-  returned basis carries.  Most basic columns are slacks, so a fresh
-  factorization (the crash, a recheck, a drifted pivot) inverts only the
-  kernel, the structural basic columns on the rows no slack covers;
+  returned basis carries.  Every inverse is assembled one way: the rows
+  known are scattered from their nonzeros, and every other row holds its
+  own slack and is bordered as e_j - A[j,B] B^-1.  A fresh factorization
+  (the crash, a recheck, a drifted pivot) moves each basic slack to its
+  own row, so the rows known are the kernel's, inverted densely;
 * between factorizations the inverse takes a rank-1 update per pivot, on
   the nonzeros of the entering column and of the pivot row, along however
   long a chain of warm starts reuses a carried inverse.  A pivot refactors
@@ -170,16 +170,6 @@ class _Form:
                                minlength=n)
                    if self.rows_nz.size else 0.0)
         out[n:] = y
-        return out
-
-    def structural_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Dense m x len(cols) block of the given structural columns."""
-        starts = self.col_ptr[cols]
-        counts = self.col_ptr[cols + 1] - starts
-        which = np.repeat(np.arange(len(cols)), counts)  # output column per entry
-        entries = starts[which] + np.arange(which.size) - (np.cumsum(counts) - counts)[which]
-        out = np.zeros((self.m, len(cols)))
-        out[self.col_rows[entries], which] = self.col_vals[entries]
         return out
 
 
@@ -427,7 +417,8 @@ class _Inverse:
     """The basis inverse B^-1 a run holds, as a dense m x m array, and once
     ``steepen`` is called the dual steepest-edge weights beta_i =
     |e_i^T B^-1|^2.  It was last factored for the basis ``basic`` of the
-    working rows ``prep``; the run's exchanges write ``basic`` in place."""
+    working rows ``prep``, which a fresh factorization reorders in place
+    and the run's exchanges write."""
 
     def __init__(self):
         self.b_inv = None  # None while no basis is factored
@@ -474,93 +465,101 @@ class _Inverse:
         """Invert the basis ``basic`` of the working rows ``prep``; False,
         with no inverse held, if it is singular.  A ``known`` inverse (see
         ``Basis``) that fits is rebuilt from its nonzeros (``_reload``).
-
-        Otherwise through the structural kernel: with S the structural basic
-        positions, U the slack ones (unit columns), ``ru`` the rows U covers
-        and K the rest, the inverse is A[K,S]^-1 on (S,K), -A[ru,S] A[K,S]^-1
-        on (U,K), the identity on (U,ru) and zero elsewhere.
-        """
+        Otherwise ``basic`` is reordered in place: each basic slack moves to
+        its own row's position, and the structural columns S, in their
+        order, fill those of the rows K no slack covers; the kernel A[K,S]
+        is inverted densely, giving B^-1 on (K,K), and ``_border`` adds the
+        slack rows."""
         self.prep, self.basic = prep, basic
         self.b_inv = None  # freed before the new inverse is made
         b_inv = None if known is None else self._reload(known)
         if b_inv is None:
-            unit = basic >= prep.n_struct
-            u_pos = np.flatnonzero(unit)
-            ru = basic[u_pos] - prep.n_struct
-            covered = np.zeros(prep.m, dtype=bool)
-            covered[ru] = True
-            if np.count_nonzero(covered) != ru.size:
+            n, m = prep.n_struct, prep.m
+            unit = basic >= n
+            covered = np.zeros(m, dtype=bool)
+            covered[basic[unit] - n] = True
+            if np.count_nonzero(covered) != np.count_nonzero(unit):
                 return False  # a row covered twice
-            s_pos, k_rows = np.flatnonzero(~unit), np.flatnonzero(~covered)
-            cols = prep.structural_columns(basic[s_pos])
+            new, k_rows = covered.nonzero()[0], (~covered).nonzero()[0]
+            basic[k_rows] = basic[~unit]
+            basic[new] = n + new
+            pos_of = np.full(prep.ncols, -1, dtype=np.int64)
+            pos_of[basic] = np.arange(m)
+            pos = pos_of[prep.cols_nz]
+            slot = np.cumsum(~covered) - 1  # kernel index of each row in K
+            e = ~covered[prep.rows_nz] & (pos >= 0)
+            kernel = np.zeros((k_rows.size, k_rows.size))
+            kernel[slot[prep.rows_nz[e]], slot[pos[e]]] = prep.vals_nz[e]
             try:
-                kernel_inv = np.linalg.inv(cols[k_rows])
+                kernel_inv = np.linalg.inv(kernel)
             except np.linalg.LinAlgError:
                 return False
             if not np.all(np.isfinite(kernel_inv)):
                 return False
-            on_u = -(cols[ru] @ kernel_inv)
-            del cols  # fewer m-row arrays alive beside the new inverse
-            b_inv = np.zeros((prep.m, prep.m))
-            b_inv[s_pos[:, None], k_rows] = kernel_inv
-            b_inv[u_pos[:, None], k_rows] = on_u
-            b_inv[u_pos, ru] = 1.0
+            at, of = kernel_inv.nonzero()
+            vals = kernel_inv[at, of]
+            del kernel_inv  # a recheck's may be dense: one k^2 array at a time
+            at = k_rows[at]
+            of = k_rows[of]
+            b_inv = self._border(at, of, vals, covered, pos)
         self.b_inv = b_inv
         if self.weights is not None:
             self.weights = _row_norms(b_inv)
         return True
 
-    def _reload(self, known):
-        """B^-1 rebuilt from a carried inverse (see ``Basis``); None if it
-        does not fit: another model (apart from the one edit
-        ``PreparedLp._edit`` recorded), rows that are not a subset of the
-        working rows, or another basic column at one of its positions.
+    def _border(self, at, of, vals, is_new, pos):
+        """B^-1 from the nonzeros (``at``, ``of``, ``vals``: working rows, in
+        order) of its rows at the positions ``is_new`` leaves unmarked.  Each
+        position it marks holds its own row's slack, so its row is
+        e_j - A[j,B] B^-1, from the nonzeros of the rows its entries select;
+        ``pos`` is the basis position of each coordinate entry's column, or -1."""
+        prep, m = self.prep, self.prep.m
+        b_inv = np.zeros((m, m))
+        flat = b_inv.ravel()  # a view of the new, contiguous array
+        flat[at * m + of] = vals
+        new = is_new.nonzero()[0]
+        if new.size:
+            flat[new * (m + 1)] = 1.0
+            e = is_new[prep.rows_nz] & (pos >= 0)
+            key = pos[e]
+            first = np.searchsorted(at, key)
+            count = np.searchsorted(at, key, side="right") - first
+            nz = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+            np.add.at(flat, np.repeat(prep.rows_nz[e] * m, count) + of[nz],
+                      np.repeat(-prep.vals_nz[e], count) * vals[nz])
+        return b_inv
 
-        Each working row it does not cover must hold its own slack basic, so
-        its row of B^-1 is e_j - A[j,B] B^-1, formed from the nonzeros of the
-        rows of B^-1 its entries touch.  Rows the edit rewrote then take a
-        rank-|R| Sherman-Morrison-Woodbury update; None if its |R| x |R|
-        system is singular or not finite."""
+    def _reload(self, known):
+        """B^-1 rebuilt from a carried inverse (see ``Basis``) by
+        ``_border``; None if it does not fit: another model (apart from the
+        one edit ``PreparedLp._edit`` recorded), rows that are not a subset
+        of the working rows, another basic column at one of its positions,
+        or a row it does not cover that does not hold its own slack.  Rows
+        the edit rewrote then take a rank-|R| Sherman-Morrison-Woodbury
+        update; None if its |R| x |R| system is singular or not finite."""
         prep = self.prep
         n, m = prep.n_struct, prep.m
         token, rows, cols, at, of, vals = known
-        edit = None
-        if token is not prep.token:
-            edit = prep.model.edited
-            if edit is None or edit[0] is not token:
-                return None
+        edit = None if token is prep.token else prep.model.edited
+        if token is not prep.token and (edit is None or edit[0] is not token):
+            return None
         old = prep.from_full[n + rows] - n  # working row of each row covered
         if np.any(old < 0):
             return None
-        model_cols = prep.full_col[self.basic]
+        want = n + prep.rows  # each row's own slack, unless it is covered
+        want[old] = cols
+        if not np.array_equal(prep.full_col[self.basic], want):
+            return None
         is_new = np.ones(m, dtype=bool)
         is_new[old] = False
-        new = np.flatnonzero(is_new)
-        if not (np.array_equal(model_cols[old], cols)
-                and np.array_equal(model_cols[new], n + prep.rows[new])):
-            return None
-        b_inv = np.zeros((m, m))
-        flat = b_inv.view()
-        flat.shape = -1
-        of_w = prep.from_full[n + of] - n
-        flat[(prep.from_full[n + at] - n) * m + of_w] = vals
         pos_of = np.full(prep.ncols, -1, dtype=np.int64)
         pos_of[self.basic] = np.arange(m)
-        if new.size:
-            flat[new * (m + 1)] = 1.0
-            e = is_new[prep.rows_nz] & (pos_of[prep.cols_nz] >= 0)
-            e_row, e_val = prep.rows_nz[e], prep.vals_nz[e]
-            key = prep.rows[pos_of[prep.cols_nz[e]]]  # model row of each position
-            first = np.searchsorted(at, key)
-            count = np.searchsorted(at, key, side="right") - first
-            which = np.repeat(np.arange(key.size), count)
-            nz = first[which] + np.arange(which.size) - (np.cumsum(count) - count)[which]
-            np.add.at(flat, e_row[which] * m + of_w[nz], -e_val[which] * vals[nz])
-        if edit is None:
-            return b_inv
-        rewritten = edit[1][np.isin(edit[1], rows)]
-        if rewritten.size and not self._woodbury(b_inv, rewritten, edit[2:], pos_of):
-            return None
+        b_inv = self._border(prep.from_full[n + at] - n, prep.from_full[n + of] - n, vals,
+                             is_new, pos_of[prep.cols_nz])
+        if edit is not None:
+            rewritten = edit[1][np.isin(edit[1], rows)]
+            if rewritten.size and not self._woodbury(b_inv, rewritten, edit[2:], pos_of):
+                return None
         return b_inv
 
     def _woodbury(self, b_inv, rewritten, old, pos_of) -> bool:
@@ -629,10 +628,9 @@ class _Inverse:
         row = b_inv[r] / w[r]
         cols = (np.abs(row) > ZERO_TOL).nonzero()[0]
         rho, w_on = row[cols], w[rows]
-        # one flat index is cheaper than a 2-D gather; setting the shape
-        # of a view raises rather than copy, so the writes reach b_inv
-        flat = b_inv.view()
-        flat.shape = -1
+        # one flat index is cheaper than a 2-D gather; _border makes every
+        # inverse C-contiguous, so the flat view's writes reach b_inv
+        flat = b_inv.ravel()
         cells = rows[:, None] * b_inv.shape[1] + cols
         block = flat[cells]
         if beta is not None:

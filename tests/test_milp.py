@@ -179,6 +179,15 @@ def test_tangent_gap_bound_uses_active_segment():
     assert got == pytest.approx(expect)
 
 
+@pytest.mark.parametrize("steps", [0, -1, 2.5, True])
+def test_tangent_gap_bound_rejects_a_step_count_that_is_not_positive(steps):
+    # 0 divided by zero and -1 gave the one-step bound
+    instance = _instance()
+    sched = Schedule(p=np.array([[15.0, 30.0], [30.0, 30.0]]), sr=np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="tangent steps must be >= 1 and an integer"):
+        tangent_gap_bound(instance, sched, steps)
+
+
 def test_balance_row_lossless():
     instance = _instance()
     model, varmap = build_milp1(instance, tangent_steps=STEPS)

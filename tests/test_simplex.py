@@ -1353,12 +1353,72 @@ def test_crash_seats_the_ladder_equality_rows():
     assert np.all((dense_basis(work, run.basic[seated])[balance] != 0.0).any(axis=1))
 
 
-def test_structural_columns_match_the_coordinate_arrays():
-    prep = ladder_root_lp(1)
-    cols = np.array([5, 0, prep.n_struct - 1, 17, 3])
-    full = np.zeros((prep.m, prep.n_struct))
-    full[prep.rows_nz, prep.cols_nz] = prep.vals_nz
-    np.testing.assert_array_equal(prep.structural_columns(cols), full[:, cols])
+def kernel_formula(prep, basic):
+    """B^-1 by the dense kernel formula: with S the structural basic
+    positions, U the slack ones, ru the rows U covers and K the rest,
+    A[K,S]^-1 on (S,K), -A[ru,S] A[K,S]^-1 on (U,K), the identity on
+    (U,ru) and zero elsewhere."""
+    n, m = prep.n_struct, prep.m
+    s_pos, u_pos = np.flatnonzero(basic < n), np.flatnonzero(basic >= n)
+    ru = basic[u_pos] - n
+    k_rows = np.setdiff1d(np.arange(m), ru)
+    cols = dense_basis(prep, basic)[:, s_pos]
+    kernel_inv = np.linalg.inv(cols[k_rows])
+    out = np.zeros((m, m))
+    out[np.ix_(s_pos, k_rows)] = kernel_inv
+    out[np.ix_(u_pos, k_rows)] = -(cols[ru] @ kernel_inv)
+    out[u_pos, ru] = 1.0
+    return out
+
+
+def test_a_fresh_factor_matches_the_dense_kernel_formula(monkeypatch):
+    work = PreparedLp(lp_relaxation(ladder_root_model(1)))._working()
+    n, m = work.n_struct, work.m
+    run = _Run(work, None, None, None, DEFAULT_MAX_ITERS)
+    assert run._crash()
+    crash = run.basic.copy()
+    np.testing.assert_allclose(held_rows(run.inv, m), kernel_formula(work, crash),
+                               rtol=0.0, atol=1e-12)
+    # a permuted basis is reordered in place: each slack to its own row's
+    # position, the structural columns in their order onto the rest
+    basic = np.random.default_rng(5).permutation(crash)
+    before = basic.copy()
+    inv = _Inverse()
+    assert inv.factor(work, basic)
+    slack = np.flatnonzero(basic >= n)
+    np.testing.assert_array_equal(basic[slack], n + slack)
+    np.testing.assert_array_equal(basic[basic < n], before[before < n])
+    at = np.empty(work.ncols, dtype=np.int64)
+    at[before] = np.arange(m)  # each column's position before the reorder
+    np.testing.assert_allclose(held_rows(inv, m), kernel_formula(work, before)[at[basic]],
+                               rtol=0.0, atol=1e-12)
+
+    # a recheck in the middle of a solve reorders the basis it factors and
+    # leaves the iterate, the statuses and the verdict as they were
+    certified, seen = _Run._certified, []
+
+    def recheck_first(run, status):
+        verdict = certified(run, status)
+        if not seen:
+            x, statuses, order = run.x.copy(), run.status.copy(), run.basic.copy()
+            assert run._factor()
+            assert not np.array_equal(run.basic, order)
+            np.testing.assert_allclose(held_rows(run.inv, run.prep.m),
+                                       kernel_formula(run.prep, run.basic),
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(np.sort(run.basic), np.sort(order))
+            run._refresh(run.prep.c)
+            np.testing.assert_allclose(run.x, x, rtol=0.0, atol=1e-9)
+            np.testing.assert_array_equal(run.status, statuses)
+            slack = np.flatnonzero(run.basic >= run.prep.n_struct)
+            np.testing.assert_array_equal(run.basic[slack], run.prep.n_struct + slack)
+            seen.append((status, verdict, certified(run, status)))
+        return verdict
+
+    monkeypatch.setattr(_Run, "_certified", recheck_first)
+    sol = ladder_root_lp(1).solve()
+    assert sol.status == OPTIMAL
+    assert seen == [(OPTIMAL, True, True)]
 
 
 @settings(max_examples=100, deadline=None)
