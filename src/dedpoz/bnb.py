@@ -11,7 +11,9 @@ also hand in the prepared LP, so that a sequence of searches on edited
 copies of one model keeps the working rows the earlier ones found, and
 the next search's root reuses this root's inverse across the edit.
 A point becomes the incumbent only if it meets every model row and bound,
-rows the LP left out of its working set included.  The search is
+rows the LP left out of its working set included; rows an LP optimum
+breaks join by a warm restart of the same ``PreparedLp.solve``, within one
+pivot and iteration budget.  The search is
 deterministic: identical inputs explore identical trees.
 """
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .milp import BINARY, MilpModel, VarMap, lp_relaxation
+from .milp import BINARY, MilpModel, VarMap, _is_count, lp_relaxation
 from .simplex import INFEASIBLE as LP_INFEASIBLE
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import PreparedLp
@@ -50,9 +52,9 @@ class BnbConfig:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.time_limit_s is not None and not self.time_limit_s >= 0:
             raise ValidationError(f"time_limit_s must be >= 0 or None, got {self.time_limit_s}")
-        if self.node_limit is not None and not (isinstance(self.node_limit, int)
-                                                and self.node_limit >= 0):
-            raise ValidationError(f"node_limit must be an int >= 0 or None, got {self.node_limit}")
+        if self.node_limit is not None and not _is_count(self.node_limit, least=0):
+            raise ValidationError(f"node_limit must be an int >= 0 or None, "
+                                  f"got {self.node_limit!r}")
 
 
 @dataclass(frozen=True)

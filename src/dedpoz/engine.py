@@ -155,7 +155,7 @@ def solve_ded_with_loss(instance: SystemInstance,
     """
     config = config or IaConfig()
     if instance.loss_model is None:
-        raise ValueError("instance has no loss model; use solve_ded_no_loss")
+        raise ValidationError("instance has no loss model; use solve_ded_no_loss")
     reason = _diagnose_infeasibility(instance)
     if reason is not None:
         raise InfeasibleError(reason)

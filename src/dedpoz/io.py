@@ -210,9 +210,11 @@ def duplicate_system(instance: SystemInstance, factor: int) -> SystemInstance:
 def scaled_cpu_time(given_speed_ghz: float, base_speed_ghz: float,
                     given_time_s: float) -> float:
     """Normalize a runtime measured on one machine to a base clock speed."""
-    if given_speed_ghz <= 0 or base_speed_ghz <= 0:
-        raise ValidationError("CPU speeds must be positive, got "
+    if not (0 < given_speed_ghz < np.inf and 0 < base_speed_ghz < np.inf):  # NaN too
+        raise ValidationError("CPU speeds must be positive and finite, got "
                               f"{given_speed_ghz} and {base_speed_ghz}")
+    if not 0 <= given_time_s < np.inf:  # NaN too
+        raise ValidationError(f"the time must be finite and >= 0, got {given_time_s}")
     return given_speed_ghz / base_speed_ghz * given_time_s
 
 

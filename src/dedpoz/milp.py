@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .system import Schedule, SystemInstance
+from .system import Schedule, SystemInstance, _check_dims
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -293,9 +293,15 @@ class TangentPlan:
         _check_count(self.steps, "tangent steps")
 
 
+def _is_count(value, least=1) -> bool:
+    """Whether ``value`` is an int or numpy integer >= ``least``, not a bool."""
+    return (not isinstance(value, bool) and isinstance(value, (int, np.integer))
+            and value >= least)
+
+
 def _check_count(value, what):
     """Raise ValidationError unless ``value`` is an int or numpy integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_count(value):
         raise ValidationError(f"{what} must be >= 1 and an integer, got {value!r}")
 
 
@@ -597,6 +603,7 @@ def tangent_gap_bound(instance: SystemInstance, schedule: Schedule, steps: int) 
     envelope, given each output's active segment: gamma * (w / steps)**2 / 4
     summed over all unit-periods, with w the active segment's width."""
     _check_count(steps, "tangent steps")
+    _check_dims(instance, schedule)
     total = 0.0
     for i, unit in enumerate(instance.units):
         segs = instance.segments[i]

@@ -156,8 +156,8 @@ def dp_exact_dispatch(instance: SystemInstance, delta: float) -> tuple:
         raise ValidationError(f"grid DP supports at most {DP_MAX_UNITS} units")
     if instance.n_periods > DP_MAX_PERIODS:
         raise ValidationError(f"grid DP supports at most {DP_MAX_PERIODS} periods")
-    if delta <= 0:
-        raise ValidationError(f"delta must be > 0, got {delta}")
+    if not 0 < delta < np.inf:  # NaN too
+        raise ValidationError(f"delta must be > 0 and finite, got {delta}")
 
     grids = []
     for i, segs in enumerate(instance.segments):

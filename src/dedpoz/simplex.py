@@ -11,14 +11,18 @@ Revised simplex with an explicit basis inverse.  Design points:
 * one pass of geometric-mean row equilibration before solving;
 * each solve runs on a working row set: every row except the ones the model
   marks lazy (the interior tangent cuts), cut out of the full scaled arrays
-  with masks.  At an optimum the rows left out are checked against the
-  point; every broken one joins the set inside the same run, with its
-  slack basic, and after one factorization of the grown basis the run
-  goes on through the dual start.  A working LP that is unbounded joins
-  every row left out the same way.  The set only grows and is shared by
-  all solves of a prepared model, so branch-and-bound nodes start from the
-  root's rows.  Bases, duals and ``m`` keep the shape of the whole model;
-  a row left out holds its own slack basic at its own position;
+  with masks.  A run solves the LP on fixed working rows.  At its optimum
+  the rows left out are checked against the point; every broken one joins
+  the set, and the same solve restarts from the run's basis, each new row
+  holding its own slack basic, by the warm start a branch-and-bound child
+  takes: the carried inverse is bordered with the new rows, whose slacks
+  cost nothing, so an optimal basis stays dual feasible and the dual start
+  picks up from it, within one pivot and iteration budget.  A
+  working LP that is unbounded joins every row left out the same way.  The
+  set only grows and is shared by all solves of a prepared model, so
+  branch-and-bound nodes start from the root's rows.  Bases, duals and
+  ``m`` keep the shape of the whole model; a row left out holds its own
+  slack basic at its own position;
 * every solve starts by dual simplex, then finishes by primal simplex.  A
   cold start factors a crash basis (Bixby 1992): every row's slack, except
   that each free structural column (the segment cost epigraphs) takes the
@@ -92,7 +96,6 @@ Revised simplex with an explicit basis inverse.  Design points:
   ``max_iters`` ends a run that cycles.
 """
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,13 +180,11 @@ class _WorkingRows(_Form):
     """The rows of a prepared model picked by ``keep``, cut out with masks:
     the form every simplex run works on.  ``rows`` lists the model rows it
     holds, ``full_col`` maps each of its columns to the model column and
-    ``from_full`` maps back (-1 for the slacks of rows left out).  ``model``
-    refers to the prepared model weakly: it holds its working rows, and a
-    dropped one is then freed at once, not at the next cycle collection."""
+    ``from_full`` maps back (-1 for the slacks of rows left out)."""
 
     def __init__(self, prep, keep):
         n = prep.n_struct
-        self.model, self.token = weakref.proxy(prep), prep.token
+        self.token, self.edited = prep.token, prep.edited
         self.rows = np.flatnonzero(keep)
         self.n_struct, self.m = n, self.rows.size
         self.ncols = n + self.m
@@ -308,9 +309,10 @@ class PreparedLp(_Form):
 
     def solve(self, lower=None, upper=None, warm_start=None,
               max_iters=DEFAULT_MAX_ITERS) -> LpSolution:
-        """Solve on the working rows in one run, which goes on from its
-        basis when rows left out join: those the optimum breaks, or all of
-        them if the working LP is unbounded.  ``max_iters`` bounds the run."""
+        """Solve on the working rows.  When rows left out join, those the
+        optimum breaks or all of them if the working LP is unbounded, the
+        solve restarts warm from the last run's basis on the grown rows;
+        ``max_iters`` and ``RECHECKS`` bound all its runs together."""
         n = self.n_struct
         lo = self.lo_template[:n] if lower is None else np.asarray(lower, dtype=float)
         hi = self.hi_template[:n] if upper is None else np.asarray(upper, dtype=float)
@@ -321,7 +323,16 @@ class PreparedLp(_Form):
             return LpSolution(INFEASIBLE, values, np.inf, duals, None, 0, 0, 0.0)
         work, warm = self._start(warm_start)
         run = _Run(work, lower, upper, warm, max_iters)
-        return self._solution(run, run.solve())
+        while True:
+            status = run.solve()
+            violation = self.row_violation(run.x[:n])
+            joins = (violation > FEAS_TOL if status == OPTIMAL
+                     else ~self.active if status == UNBOUNDED else None)
+            if joins is None or not self._activate(joins):
+                return self._solution(run, status, violation)
+            work, warm = self._start(self._model_basis(run))
+            run = _Run(work, lower, upper, warm, max_iters,
+                       (run.pivots, run.iters, run.rechecks))
 
     # ----- working rows ----------------------------------------------------
 
@@ -350,12 +361,13 @@ class PreparedLp(_Form):
         basic = np.asarray(warm.basic_idx)
         status = np.asarray(warm.status)
         if (basic.shape != (m,) or status.shape != (self.ncols,)
-                or np.any((basic < 0) | (basic >= self.ncols))
-                or np.unique(basic).size != m):
+                or np.any((basic < 0) | (basic >= self.ncols))):
             return self._working(), None
-        held = np.zeros(m, dtype=bool)
-        held[basic[basic >= n] - n] = True
-        self._activate(~held)
+        held = np.zeros(self.ncols, dtype=bool)
+        held[basic] = True
+        if np.count_nonzero(held) != m:  # a column basic twice
+            return self._working(), None
+        self._activate(~held[n:])
         work = self._working()
         basic = work.from_full[basic]  # -1 for the slack of a row left out
         return work, Basis(basic[basic >= 0], status[work.full_col], warm.kernel)
@@ -372,12 +384,14 @@ class PreparedLp(_Form):
         status[work.full_col] = run.status
         return Basis(basic, status, run.inv.carried)
 
-    def _solution(self, run, status) -> LpSolution:
+    def _solution(self, run, status, violation) -> LpSolution:
+        """The outcome of the last run; ``violation`` is ``row_violation``
+        at its point."""
         work, x = run.prep, run.x
         values = x[:self.n_struct].copy()
         values.setflags(write=False)
         resid = max(float(np.abs(work.ax(x) - work.b).max(initial=0.0)),
-                    float(self.row_violation(values)[~self.active].max(initial=0.0)))
+                    float(violation[~self.active].max(initial=0.0)))
         duals = np.zeros(self.m)
         if run.fresh is not None and run.fresh[0] is work.c:
             duals[work.rows] = run.fresh[1] / work.row_scale
@@ -540,7 +554,7 @@ class _Inverse:
         prep = self.prep
         n, m = prep.n_struct, prep.m
         token, rows, cols, at, of, vals = known
-        edit = None if token is prep.token else prep.model.edited
+        edit = None if token is prep.token else prep.edited
         if token is not prep.token and (edit is None or edit[0] is not token):
             return None
         old = prep.from_full[n + rows] - n  # working row of each row covered
@@ -573,7 +587,7 @@ class _Inverse:
         n, m, k = prep.n_struct, prep.m, rewritten.size
         old_rows, old_cols, old_vals = old
         r_w = prep.from_full[n + rewritten] - n
-        slot = np.full(prep.model.m, -1, dtype=np.int64)  # by model row
+        slot = np.full(prep.from_full.size - n, -1, dtype=np.int64)  # by model row
         slot[rewritten] = np.arange(k)
         new_slot, old_slot = slot[prep.rows[prep.rows_nz]], slot[old_rows]
         new_on = (new_slot >= 0) & (pos_of[prep.cols_nz] >= 0)
@@ -648,7 +662,11 @@ class _Inverse:
 
 
 class _Run:
-    def __init__(self, prep, lower, upper, warm_start, max_iters):
+    """One run of the simplex on fixed working rows.  ``spent`` holds the
+    pivots, iterations and rechecks the solve's earlier runs took, so that
+    the budgets hold across its restarts."""
+
+    def __init__(self, prep, lower, upper, warm_start, max_iters, spent=(0, 0, 0)):
         self.prep = prep
         self.max_iters = max_iters
         self.lo = prep.lo_template.copy()
@@ -670,8 +688,7 @@ class _Run:
         self.proof = None  # what the last infeasible or unbounded verdict rests on
         self.x = np.zeros(prep.ncols)
         self.d = np.zeros(prep.ncols)
-        self.pivots = 0
-        self.iters = 0
+        self.pivots, self.iters, self.rechecks = spent
 
     # ----- state helpers ---------------------------------------------------
 
@@ -1002,29 +1019,22 @@ class _Run:
 
     def solve(self) -> str:
         """Run to a final status.  A verdict stands once it checks against
-        the working rows at the inverse held (``_certified``) and, for an
-        optimum, breaks no row left out.  Rows left out join the run when
-        the optimum breaks them, or all of them when the working LP is
-        unbounded; a verdict that fails its check has the basis factored
-        afresh, ``RECHECKS`` times at most.  Either way the run goes back
-        through the dual start.  ITERATION_LIMIT is final, and a basis that
-        fails to factor ends the run at once with it."""
-        status = (self._warm if self.warm is not None else self._cold)(self.prep.c)
-        failed = 0
+        the working rows at the inverse held (``_certified``), but an
+        unbounded one returns unchecked while rows are left out, which may
+        bound it.  A verdict that fails its check has the basis factored
+        afresh and goes back through the dual start, ``RECHECKS`` times at
+        most per solve.  ITERATION_LIMIT is final, and a recheck's basis
+        that fails to factor ends the run at once with it."""
+        prep = self.prep
+        status = (self._warm if self.warm is not None else self._cold)(prep.c)
         while status != ITERATION_LIMIT:
-            if status == UNBOUNDED and self._join(~self.prep.model.active):
-                pass  # the grown working LP goes on from the same basis
-            elif self._certified(status):
-                if not (status == OPTIMAL and self._join_broken()):
-                    return status
-            elif failed < RECHECKS:
-                failed += 1
-                self._factor()
-            else:
+            if ((status == UNBOUNDED and prep.ncols < prep.from_full.size)
+                    or self._certified(status)):
+                return status
+            if self.rechecks == RECHECKS or not self._factor():
                 return ITERATION_LIMIT
-            if not self.inv.held:  # the recheck or the grown basis failed to factor
-                return ITERATION_LIMIT
-            status = self._dual_start(self.prep.c)
+            self.rechecks += 1
+            status = self._dual_start(prep.c)
         if self.inv.held and self.fresh is None:
             self.x = self._compute_x()
         return status
@@ -1071,37 +1081,3 @@ class _Run:
         blocked = (ray > PIVOT_TOL) & np.isfinite(self.hi) | (ray < -PIVOT_TOL) & np.isfinite(self.lo)
         return bool(c @ ray < -DUAL_TOL and not blocked.any()
                     and np.abs(prep.ax(ray)).max() <= FEAS_TOL)
-
-    def _join_broken(self) -> bool:
-        """Join every row left out that the iterate breaks; False if none is."""
-        model = self.prep.model
-        return self._join(model.row_violation(self.x[:model.n_struct]) > FEAS_TOL)
-
-    def _join(self, rows) -> bool:
-        """Move onto the working rows grown by the model ``rows``, each new
-        row holding its own slack basic, and border the inverse held with
-        them (``_Inverse.factor``); False if all rows are in already.
-
-        The new slacks have zero cost, so the duals of the old rows stay
-        and the new rows price at zero: an optimal basis stays dual
-        feasible and the dual start picks up from it."""
-        old = self.prep
-        if not old.model._activate(rows):
-            return False
-        known = self.inv.carried
-        new = old.model._working()
-        n = old.n_struct
-        to_new = new.from_full[old.full_col]
-        lo, hi = new.lo_template.copy(), new.hi_template.copy()
-        lo[to_new], hi[to_new] = self.lo, self.hi
-        status = _default_status(lo, hi)
-        status[to_new] = self.status
-        basic = n + np.arange(new.m)
-        basic[new.from_full[n + old.rows] - n] = to_new[self.basic]
-        status[basic] = BASIC
-        x = np.zeros(new.ncols)
-        x[to_new] = self.x  # the last iterate, if the grown basis fails to factor
-        self.prep, self.lo, self.hi, self.basic, self.status = new, lo, hi, basic, status
-        self.x = x
-        self._factor(known)
-        return True

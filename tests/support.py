@@ -294,27 +294,16 @@ def highs_milp(model, rel_gap=1e-9):
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import coo_array
 
-    n, m = model.n_variables, model.n_constraints
-    rows, cols, vals = [], [], []
-    row_lo, row_hi = np.full(m, -np.inf), np.full(m, np.inf)
-    for r, con in enumerate(model.constraints):
-        for j, coef in con.coeffs:
-            rows.append(r)
-            cols.append(j)
-            vals.append(coef)
-        if con.sense in (EQ, GE):
-            row_lo[r] = con.rhs
-        if con.sense in (EQ, LE):
-            row_hi[r] = con.rhs
-    a = coo_array((vals, (rows, cols)), shape=(m, n)).tocsr()  # sums repeated cells
-    cost = np.zeros(n)
-    for j, coef in model.objective:
-        cost[j] += coef
+    a = model.arrays
+    n, m = a.lb.size, a.rhs.size
+    row_lo = np.where(a.sense == LE, -np.inf, a.rhs)
+    row_hi = np.where(a.sense == GE, np.inf, a.rhs)
+    matrix = coo_array((a.vals, (a.rows, a.cols)), shape=(m, n)).tocsr()  # sums repeated cells
+    cost = np.bincount(a.obj_cols, weights=a.obj_vals, minlength=n)
     res = milp(cost,
-               integrality=[v.kind == BINARY for v in model.variables],
-               bounds=Bounds([v.lb for v in model.variables],
-                             [v.ub for v in model.variables]),
-               constraints=LinearConstraint(a, row_lo, row_hi),
+               integrality=(a.kind == BINARY).astype(int),
+               bounds=Bounds(a.lb, a.ub),
+               constraints=LinearConstraint(matrix, row_lo, row_hi),
                options={"mip_rel_gap": rel_gap})
     if res.status == 0:
         return "optimal", float(res.fun) + model.objective_constant

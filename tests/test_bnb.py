@@ -182,7 +182,7 @@ def test_demand_inside_a_zone_is_infeasible():
     ("gap", float("nan")), ("gap", -1.0),
     ("time_limit_s", float("nan")), ("time_limit_s", -1.0),
     ("int_tol", float("nan")), ("int_tol", -1e-6),
-    ("node_limit", -1), ("node_limit", 2.0),
+    ("node_limit", -1), ("node_limit", 2.0), ("node_limit", True), ("node_limit", np.float64(3)),
 ])
 def test_config_rejects_bad_fields(name, value):
     with pytest.raises(ValidationError, match=f"{name} must be"):
@@ -193,6 +193,8 @@ def test_config_takes_no_limit_and_zero_limits():
     for value in (None, 0):
         config = BnbConfig(time_limit_s=value, node_limit=value)
         assert config.time_limit_s == value and config.node_limit == value
+    # numpy integers count as node limits, as they do as iteration budgets
+    assert BnbConfig(node_limit=np.int64(5)).node_limit == 5
 
 
 def test_node_limit_interrupts_search():
@@ -319,13 +321,16 @@ def test_milp1_and_one_milp2_pass_match_highs(seed):
 def solve_recorded(model, varmap, with_kernel):
     """``solve_milp`` with each LP's ``(status, pivots, iterations,
     objective)`` and the count of ``np.linalg.inv`` calls recorded; without
-    the kernel, every returned basis has it stubbed to None."""
-    lp_solve, model_basis, inv = PreparedLp.solve, PreparedLp._model_basis, np.linalg.inv
+    the kernel, every basis an LP solve returns has it stubbed to None (the
+    restarts inside a solve, after rows join, still reuse theirs)."""
+    lp_solve, inv = PreparedLp.solve, np.linalg.inv
     lps, inversions = [], [0]
 
     def record(prep, *args, **kwargs):
         sol = lp_solve(prep, *args, **kwargs)
         lps.append((sol.status, sol.pivots, sol.iterations, sol.objective))
+        if not with_kernel and sol.basis is not None:
+            sol = dataclasses.replace(sol, basis=dataclasses.replace(sol.basis, kernel=None))
         return sol
 
     def count(a):
@@ -335,10 +340,6 @@ def solve_recorded(model, varmap, with_kernel):
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(PreparedLp, "solve", record))
         stack.enter_context(mock.patch.object(np.linalg, "inv", count))
-        if not with_kernel:
-            stack.enter_context(mock.patch.object(
-                PreparedLp, "_model_basis",
-                lambda prep, run: dataclasses.replace(model_basis(prep, run), kernel=None)))
         sol = solve_milp(model, varmap, BnbConfig(gap=1e-6))
     return sol, lps, inversions[0]
 

@@ -17,6 +17,7 @@ from dedpoz import (
     evaluate_violations,
     load_instance,
     midpoint_anchor,
+    scaled_cpu_time,
     solve_ded_no_loss,
     solve_ded_with_loss,
 )
@@ -50,8 +51,12 @@ def test_config_validation():
             IaConfig(time_limit_s=bad)
     assert IaConfig(time_limit_s=None).time_limit_s is None
     assert IaConfig(time_limit_s=0).time_limit_s == 0
+
+
+@pytest.mark.parametrize("value", [-1, 2.0, True])
+def test_config_rejects_a_node_limit_that_is_not_a_count(value):
     with pytest.raises(ValidationError, match="node_limit must be an int >= 0 or None"):
-        IaConfig(node_limit=-1)
+        IaConfig(node_limit=value)
 
 
 @pytest.mark.parametrize("field", ["iter_max", "tangent_steps"])
@@ -62,8 +67,24 @@ def test_config_counts_that_are_not_integers_fail_at_once(field, value):
 
 
 def test_config_counts_take_numpy_integers():
-    config = IaConfig(iter_max=np.int64(3), tangent_steps=np.int32(4))
-    assert config.iter_max == 3 and config.tangent_steps == 4
+    config = IaConfig(iter_max=np.int64(3), tangent_steps=np.int32(4), node_limit=np.int64(5))
+    assert config.iter_max == 3 and config.tangent_steps == 4 and config.node_limit == 5
+
+
+@pytest.mark.parametrize("call", [
+    lambda instance: dp_exact_dispatch(instance, float("nan")),
+    lambda instance: dp_exact_dispatch(instance, float("inf")),
+    lambda instance: scaled_cpu_time(float("nan"), 1.0, 2.0),
+    lambda instance: scaled_cpu_time(2.0, float("inf"), 2.0),
+    lambda instance: scaled_cpu_time(2.0, 1.0, float("nan")),
+    lambda instance: scaled_cpu_time(2.0, 1.0, -1.0),
+    lambda instance: solve_ded_with_loss(instance),
+], ids=["dp-delta-nan", "dp-delta-inf", "cpu-speed-nan", "cpu-speed-inf", "cpu-time-nan",
+        "cpu-time-negative", "lossy-driver-on-lossless"])
+def test_public_helpers_reject_bad_input_with_a_validation_error(call):
+    instance = random_lossless_instance(np.random.default_rng(3), n_units=2, n_periods=2)
+    with pytest.raises(ValidationError):
+        call(instance)
 
 
 def test_midpoint_anchor():

@@ -179,6 +179,16 @@ def test_tangent_gap_bound_uses_active_segment():
     assert got == pytest.approx(expect)
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (2, 3), (3, 2)])
+def test_tangent_gap_bound_rejects_a_schedule_of_another_shape(shape):
+    # a schedule with fewer units than the fleet raised IndexError, and one
+    # with more units or periods was read only in part
+    instance = _instance()
+    sched = Schedule(p=np.full(shape, 30.0), sr=np.zeros(shape))
+    with pytest.raises(ValidationError, match="does not match instance"):
+        tangent_gap_bound(instance, sched, STEPS)
+
+
 @pytest.mark.parametrize("steps", [0, -1, 2.5, True])
 def test_tangent_gap_bound_rejects_a_step_count_that_is_not_positive(steps):
     # 0 divided by zero and -1 gave the one-step bound

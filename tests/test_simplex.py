@@ -504,33 +504,32 @@ def test_the_inverse_agrees_with_dense_solves_in_every_state(monkeypatch):
     # after rank-1 updates, a border of joined rows, a reload of a carried
     # inverse and a Woodbury correction after an edit
     rng = np.random.default_rng(7)
-    join, load, inv = _Run._join, _Run._load_warm, np.linalg.inv
+    model_basis, load, inv = PreparedLp._model_basis, _Run._load_warm, np.linalg.inv
     states, inversions = [], [0]
 
     def count(a):
         inversions[0] += 1
         return inv(a)
 
-    def spy_join(run, rows):
-        if run.pivots:
+    def spy_basis(prep, run):
+        if run.pivots and run.inv.held:
             check_inverse(run.inv, run.prep, run.basic, rng)
             states.append("updates")
-        grown = join(run, rows)
-        if grown and run.inv.held:
-            check_inverse(run.inv, run.prep, run.basic, rng)
-            states.append("border")
-        return grown
+        return model_basis(prep, run)
 
     def spy_load(run):
         before = inversions[0]
         ok = load(run)
         if ok and inversions[0] == before:
             check_inverse(run.inv, run.prep, run.basic, rng)
-            states.append("reload" if run.prep.model.edited is None else "woodbury")
+            token, rows = run.warm.kernel[:2]
+            # a restart after rows joined borders the last run's inverse
+            states.append("woodbury" if token is not run.prep.token
+                          else "border" if rows.size < run.prep.m else "reload")
         return ok
 
     monkeypatch.setattr(np.linalg, "inv", count)
-    monkeypatch.setattr(_Run, "_join", spy_join)
+    monkeypatch.setattr(PreparedLp, "_model_basis", spy_basis)
     monkeypatch.setattr(_Run, "_load_warm", spy_load)
     _, relaxed, children = ladder_children()
     prep = PreparedLp(relaxed)
@@ -643,7 +642,7 @@ def test_optimal_exit_that_breaks_a_bound_is_repaired_or_withheld(monkeypatch):
     assert factored == [True] + [False] * simplex.RECHECKS
 
 
-# ----- a basis that fails to factor ends the solve --------------------------
+# ----- a basis that fails to factor is never reported optimal ---------------
 
 FACTOR = _Run._factor
 
@@ -690,16 +689,23 @@ def test_a_failed_factorization_is_never_reported_optimal(monkeypatch, which):
         at = 1  # the crash, then the recheck
         assert len(calls) == 2 and calls[at][0] > 0 and not calls[at][1]
     elif which == "join":
-        at = [known for _, known in calls].index(True)  # from the kernel
+        at = [known for _, known in calls].index(True)  # the first restart's
     else:
         at = 1  # the crash, then the refactorization after the first pivot
         assert calls[at] == (1, False)
     rejected.clear()
-    sol, _ = solve_with_failed_factor(monkeypatch, model, fail_at=at)
-    assert sol.status == ITERATION_LIMIT
-    # its basis carries no kernel inverse for a warm start to reuse
+    sol, calls = solve_with_failed_factor(monkeypatch, model, fail_at=at)
     assert clean.basis.kernel is not None
-    assert sol.basis.kernel is None
+    if which == "join":
+        # the grown basis that fails to load starts the restart cold, as
+        # every warm start whose basis fails to factor does
+        assert calls[at + 1] == (calls[at][0], False)
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(clean.objective, rel=1e-9)
+    else:
+        assert sol.status == ITERATION_LIMIT
+        # its basis carries no kernel inverse for a warm start to reuse
+        assert sol.basis.kernel is None
 
 
 # ----- warm starts from another model's basis; the dual start --------------
@@ -1099,32 +1105,35 @@ def test_warm_start_from_a_basis_saved_before_rows_were_added(monkeypatch):
 
 
 def test_working_rows_that_are_unbounded_or_infeasible(monkeypatch):
-    runs = []
-    init = _Run.__init__
+    runs = []  # per run, (working rows, its status)
+    run_solve = _Run.solve
 
-    def spy_init(run, *args):
-        runs.append(run)
-        init(run, *args)
+    def spy_solve(run):
+        status = run_solve(run)
+        runs.append((run.prep.m, status))
+        return status
 
-    monkeypatch.setattr(_Run, "__init__", spy_init)
+    monkeypatch.setattr(_Run, "solve", spy_solve)
     # x free; only the lazy row bounds it, and it joins the unbounded
-    # working LP inside the same run
+    # working LP, whose basis the same solve restarts from
     bounded_by_lazy = lp([(-np.inf, np.inf), (0.0, 1.0)],
                          [([(0, 1.0)], GE, -5.0), ([(0, 1.0), (1, 1.0)], LE, 9.0)],
                          [(0, 1.0), (1, -1.0)], lazy={0})
     prep = PreparedLp(bounded_by_lazy)
     sol = prep.solve()
     assert sol.status == OPTIMAL and sol.objective == pytest.approx(-6.0)
-    assert len(runs) == 1 and prep.active.all()
+    assert runs == [(1, UNBOUNDED), (2, OPTIMAL)] and prep.active.all()
     np.testing.assert_allclose(sol.values, [-5.0, 1.0], atol=1e-9)
+    runs.clear()
     unbounded = lp([(-np.inf, np.inf)], [([(0, 1.0)], LE, 3.0)], [(0, 1.0)], lazy={0})
     assert solve_lp(unbounded).status == UNBOUNDED
-    assert len(runs) == 2
+    assert runs == [(0, UNBOUNDED), (1, UNBOUNDED)]
+    runs.clear()
     # the rows kept already conflict, so every row together does too
     infeasible = lp([(0.0, 4.0)], [([(0, 1.0)], GE, 5.0), ([(0, 1.0)], LE, 9.0)],
                     [(0, 1.0)], lazy={1})
     assert solve_lp(infeasible).status == INFEASIBLE
-    assert len(runs) == 3
+    assert runs == [(1, INFEASIBLE)]
 
 
 def test_iteration_budget_is_shared_by_all_rounds():
@@ -1141,42 +1150,56 @@ def test_iteration_budget_is_shared_by_all_rounds():
     assert prep.active.sum() > rows_before
 
 
-def test_rows_join_inside_one_run_at_one_factorization_a_round(monkeypatch):
+def test_rows_join_by_a_warm_restart_at_one_factorization_a_round(monkeypatch):
     model = ladder_root_model(1)
     prep = PreparedLp(lp_relaxation(model))
-    runs, events = [], []
-    init, factor, join = _Run.__init__, _Run._factor, _Run._join_broken
+    runs = []  # per run, (working rows, pivots taken before it, its factorizations)
+    init, factor = _Run.__init__, _Run._factor
 
     def spy_init(run, *args):
-        runs.append(run)
         init(run, *args)
+        runs.append((run.prep.m, run.pivots, []))
 
     def spy_factor(run, known=None):
-        events.append(("factor" if known is None else "kernel", run.pivots))
+        runs[-1][2].append("factor" if known is None else "kernel")
         return factor(run, known)
-
-    def spy_join(run):
-        grown = join(run)
-        if grown:
-            events.append(("join", run.pivots))
-        return grown
 
     monkeypatch.setattr(_Run, "__init__", spy_init)
     monkeypatch.setattr(_Run, "_factor", spy_factor)
-    monkeypatch.setattr(_Run, "_join_broken", spy_join)
     sol = prep.solve()
-    assert len(runs) == 1
-    joins = [k for k, (kind, _) in enumerate(events) if kind == "join"]
-    assert joins
-    for k in joins:
-        # each round's rows join with one factorization, from the kernel the
-        # grown basis shares with the old one, and no other
-        at = events[k][1]
-        assert [kind for kind, p in events if p == at] == ["kernel", "join"]
-    assert [kind for kind, _ in events].count("factor") == 1  # the crash
+    assert len(runs) > 1
+    assert runs[0][:2] == (prep.m - np.count_nonzero(model.arrays.lazy), 0)
+    assert runs[0][2] == ["factor"]  # the crash
+    for (rows, pivots, _), (grown, carried, factors) in zip(runs, runs[1:]):
+        # each round's rows join by a restart that goes on counting pivots,
+        # with one factorization, from the kernel the grown basis shares
+        # with the last run's, and no other
+        assert grown > rows and carried > pivots
+        assert factors == ["kernel"]
+    assert runs[-1][0] == prep.active.sum()
     eager = PreparedLp(lp_relaxation(unmarked(model))).solve()
     assert sol.status == eager.status == OPTIMAL
     assert sol.objective == pytest.approx(eager.objective, rel=1e-9)
+
+
+def test_each_run_reads_the_rows_left_out_once(monkeypatch):
+    # the broken rows a run's optimum shows and the solution's residual come
+    # from one row_violation call per run
+    calls, runs = [0], [0]
+    violation, run_solve = PreparedLp.row_violation, _Run.solve
+
+    def count_violation(prep, values):
+        calls[0] += 1
+        return violation(prep, values)
+
+    def count_runs(run):
+        runs[0] += 1
+        return run_solve(run)
+
+    monkeypatch.setattr(PreparedLp, "row_violation", count_violation)
+    monkeypatch.setattr(_Run, "solve", count_runs)
+    assert ladder_root_lp(1).solve().status == OPTIMAL
+    assert runs[0] > 1 and calls[0] == runs[0]
 
 
 def test_rows_broken_only_at_the_recomputed_iterate_still_join(monkeypatch):
@@ -1504,20 +1527,23 @@ def test_inverse_carried_across_one_edit_is_corrected_not_redone(monkeypatch):
     assert root.status == OPTIMAL
     anchors = [varmap.extract_schedule(root.values).p]
     anchors.append(0.9 * anchors[0] + 0.1 * instance.p_maxs)
-    loads = spy_warm_loads(monkeypatch)
+    loads, starts = spy_warm_loads(monkeypatch), []
     bases = [root.basis]
     for anchor in anchors:
         model, rows = _reanchor(model, varmap, instance, anchor)
         prep._edit(model, rows, varmap.loss_quad)
         cold = PreparedLp(lp_relaxation(model)).solve()
         for basis in bases:
+            first = len(loads)
             warm = prep.solve(warm_start=basis)
             assert warm.status == cold.status == OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+            starts.append(loads[first])
         bases = [basis, warm.basis]
-    # the root's inverse is reused after the first edit and refused after the
-    # second; the basis solved between the edits is reused
-    assert loads == [(0, True), (1, True), (0, True)]
+    # the warm load each solve starts with (the cold solves' restarts load
+    # too): the root's inverse is reused after the first edit and refused
+    # after the second; the basis solved between the edits is reused
+    assert starts == [(0, True), (1, True), (0, True)]
 
 
 def first_that_factors(prep, basic, swaps):
