@@ -1,20 +1,21 @@
 """Branch and bound over binary segment selectors with warm-started node LPs.
 
-Node selection is best-bound with one depth-first plunge after each incumbent
-improvement.  Branching fixes the single most fractional binary (ties broken
-by lowest variable index, which the model builders lay out in unit, period,
-segment order).  Child LPs restart from the parent's basis via dual simplex,
-reusing the basis inverse it was returned with, rank-1 updates and all,
-and the root LP from the caller's basis when one is given; the root LP's
-final basis comes back on the solution with its inverse.  The caller may
-also hand in the prepared LP, so that a sequence of searches on edited
-copies of one model keeps the working rows the earlier ones found, and
-the next search's root reuses this root's inverse across the edit.
-A point becomes the incumbent only if it meets every model row and bound,
-rows the LP left out of its working set included; rows an LP optimum
-breaks join by a warm restart of the same ``PreparedLp.solve``, within one
-pivot and iteration budget.  The search is
-deterministic: identical inputs explore identical trees.
+Node selection is best-bound alone: every node comes off one heap ordered
+by its parent's LP bound, ties to the node made first.  Branching fixes the
+single most fractional binary (ties broken by lowest variable index, which
+the model builders lay out in unit, period, segment order).  Child LPs
+restart from the parent's basis via dual simplex, reusing the basis inverse
+it was returned with, rank-1 updates and all, and the root LP from the
+caller's basis when one is given; the root LP's final basis comes back on
+the solution with its inverse.  The caller may also hand in the prepared
+LP, so that a sequence of searches on edited copies of one model keeps the
+working rows the earlier ones found, and the next search's root reuses
+this root's inverse across the edit.  A point becomes the incumbent only if
+it meets every model row and bound, rows the LP left out of its working
+set included; rows an LP optimum breaks join by a warm restart of the same
+``PreparedLp.solve``, within one pivot and iteration budget.  The time
+limit binds inside each node LP too.  The search is deterministic:
+identical inputs explore identical trees.
 """
 
 import heapq
@@ -144,6 +145,7 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
     """
     config = config or BnbConfig()
     start = time.perf_counter()
+    deadline = None if config.time_limit_s is None else start + config.time_limit_s
     a = model.arrays
     bin_idx = np.flatnonzero(a.kind == BINARY)
     if prepared is None:
@@ -163,8 +165,6 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
     node_log = []
     heap = []
     seq_counter = 0
-    plunge_pending = False
-    plunge_node = None
     limit_hit = False
     root_basis = None
 
@@ -177,40 +177,27 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
                 f"incumbent {entry[3]:.6f}\n")
 
     def open_bound_floor():
-        floor = heap[0].bound if heap else np.inf
-        if plunge_node is not None:
-            floor = min(floor, plunge_node.bound)
-        return floor
-
-    def time_left():
-        if config.time_limit_s is None:
-            return True
-        return time.perf_counter() - start < config.time_limit_s
+        return heap[0].bound if heap else np.inf
 
     root = _Node(seq=seq_counter, depth=0, bound=-np.inf, lower=lo0, upper=hi0,
                  basis=warm_start)
     seq_counter += 1
     heapq.heappush(heap, root)
 
-    while True:
-        if plunge_node is not None:
-            node, plunge_node = plunge_node, None
-        elif heap:
-            node = heapq.heappop(heap)
-        else:
-            break
+    while heap:
+        node = heapq.heappop(heap)
         if node.bound >= incumbent_obj - PRUNE_EPS:
             continue
-        if not time_left():
+        if deadline is not None and time.perf_counter() >= deadline:
             limit_hit = True
             break
         if config.node_limit is not None and nodes >= config.node_limit:
             limit_hit = True
             break
 
-        sol = prep.solve(lower=node.lower, upper=node.upper, warm_start=node.basis)
+        sol = prep.solve(lower=node.lower, upper=node.upper, warm_start=node.basis,
+                         deadline=deadline)
         nodes += 1
-        improved = False
         if sol.status == LP_INFEASIBLE:
             best_bound = min(max(best_bound, open_bound_floor()), incumbent_obj)
             log_node(node.depth)
@@ -235,7 +222,6 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
                     break
                 incumbent_vals = np.asarray(sol.values, dtype=float).copy()
                 incumbent_obj = obj
-                improved = True
             else:
                 if nodes == 1 and config.use_heuristic and varmap is not None:
                     plan = rounding_heuristic(sol.values, varmap)
@@ -243,34 +229,25 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
                     h_hi = node.upper.copy()
                     for idx, val in plan.items():
                         h_lo[idx] = h_hi[idx] = float(val)
-                    h_sol = prep.solve(lower=h_lo, upper=h_hi, warm_start=sol.basis)
+                    h_sol = prep.solve(lower=h_lo, upper=h_hi, warm_start=sol.basis,
+                                       deadline=deadline)
                     if (h_sol.status == LP_OPTIMAL
                             and h_sol.objective < incumbent_obj - PRUNE_EPS
                             and _meets_model(prep, h_sol.values, lo0, hi0)):
                         incumbent_vals = np.asarray(h_sol.values, dtype=float).copy()
                         incumbent_obj = h_sol.objective
-                        improved = True
                 # branch on the most fractional binary
                 dist = np.minimum(vals, 1.0 - vals)
                 b = int(np.argmax(dist))
                 var = int(bin_idx[b])
-                children = []
                 for fix in (0.0, 1.0):
                     child_lo = node.lower.copy()
                     child_hi = node.upper.copy()
                     child_lo[var] = child_hi[var] = fix
-                    children.append(_Node(seq=seq_counter, depth=node.depth + 1, bound=obj,
-                                          lower=child_lo, upper=child_hi, basis=sol.basis))
+                    heapq.heappush(heap, _Node(seq=seq_counter, depth=node.depth + 1, bound=obj,
+                                               lower=child_lo, upper=child_hi, basis=sol.basis))
                     seq_counter += 1
-                if plunge_pending or improved:
-                    # kept off the heap, so the heap holds only open nodes
-                    plunge_node = children.pop(1 if vals[b] >= 0.5 else 0)
-                    plunge_pending = False
-                for child in children:
-                    heapq.heappush(heap, child)
 
-        if improved:
-            plunge_pending = plunge_node is None
         best_bound = min(max(best_bound, open_bound_floor()), incumbent_obj)
         log_node(node.depth)
 
@@ -279,7 +256,7 @@ def solve_milp(model: MilpModel, varmap: VarMap | None = None,
             if rel <= config.gap:
                 break
 
-    if not heap and plunge_node is None and not limit_hit:
+    if not heap and not limit_hit:
         best_bound = incumbent_obj
 
     wall = time.perf_counter() - start

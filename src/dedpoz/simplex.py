@@ -93,15 +93,18 @@ Revised simplex with an explicit basis inverse.  Design points:
   and a basis that fails to factor ends the solve with it;
 * against cycling: Harris ratio tests and dual steepest edge choose the
   pivots, a verdict stands only once its certificate checks, and
-  ``max_iters`` ends a run that cycles.
+  ``max_iters`` ends a run that cycles;
+* a solve given a ``deadline`` (a ``time.perf_counter`` reading) ends
+  with ``iteration_limit`` at the first pivot past it.
 """
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .milp import BINARY, GE, LE, MilpModel
+from .milp import BINARY, GE, LE, MilpModel, _is_count
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -308,21 +311,27 @@ class PreparedLp(_Form):
                                      need - self.hi_template[n:n + m]), 0.0)
 
     def solve(self, lower=None, upper=None, warm_start=None,
-              max_iters=DEFAULT_MAX_ITERS) -> LpSolution:
+              max_iters=DEFAULT_MAX_ITERS, deadline=None) -> LpSolution:
         """Solve on the working rows.  When rows left out join, those the
         optimum breaks or all of them if the working LP is unbounded, the
         solve restarts warm from the last run's basis on the grown rows;
-        ``max_iters`` and ``RECHECKS`` bound all its runs together."""
+        ``max_iters``, ``deadline`` and ``RECHECKS`` bound all its runs
+        together.  ``lower`` and ``upper`` are structural bounds of shape
+        (n,), no NaN; ``max_iters`` is an int >= 0."""
         n = self.n_struct
-        lo = self.lo_template[:n] if lower is None else np.asarray(lower, dtype=float)
-        hi = self.hi_template[:n] if upper is None else np.asarray(upper, dtype=float)
-        if np.any(lo > hi + 1e-12):
+        if not _is_count(max_iters, least=0):
+            raise ValidationError(f"max_iters must be an int >= 0, got {max_iters!r}")
+        lo = self.lo_template[:n] if lower is None else _bounds(lower, n, "lower")
+        hi = self.hi_template[:n] if upper is None else _bounds(upper, n, "upper")
+        if not np.all(lo <= hi + 1e-12):  # crossed, or a NaN
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise ValidationError("lower and upper bounds must not be NaN")
             values, duals = np.zeros(n), np.zeros(self.m)
             values.setflags(write=False)
             duals.setflags(write=False)
             return LpSolution(INFEASIBLE, values, np.inf, duals, None, 0, 0, 0.0)
         work, warm = self._start(warm_start)
-        run = _Run(work, lower, upper, warm, max_iters)
+        run = _Run(work, lo, hi, warm, max_iters, deadline)
         while True:
             status = run.solve()
             violation = self.row_violation(run.x[:n])
@@ -331,7 +340,7 @@ class PreparedLp(_Form):
             if joins is None or not self._activate(joins):
                 return self._solution(run, status, violation)
             work, warm = self._start(self._model_basis(run))
-            run = _Run(work, lower, upper, warm, max_iters,
+            run = _Run(work, lo, hi, warm, max_iters, deadline,
                        (run.pivots, run.iters, run.rechecks))
 
     # ----- working rows ----------------------------------------------------
@@ -411,6 +420,17 @@ def solve_lp(model: MilpModel, warm_start: Basis | None = None,
              max_iters: int = DEFAULT_MAX_ITERS) -> LpSolution:
     """One-shot solve of a continuous model."""
     return PreparedLp(model).solve(warm_start=warm_start, max_iters=max_iters)
+
+
+def _bounds(value, n, what):
+    """``value`` as a float array of shape (n,)."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (n,):
+        raise ValidationError(f"{what} must be {n} numbers, got {value!r}")
+    return arr
 
 
 def _row_norms(a) -> np.ndarray:
@@ -664,11 +684,13 @@ class _Inverse:
 class _Run:
     """One run of the simplex on fixed working rows.  ``spent`` holds the
     pivots, iterations and rechecks the solve's earlier runs took, so that
-    the budgets hold across its restarts."""
+    the budgets hold across its restarts; ``deadline`` is the solve's."""
 
-    def __init__(self, prep, lower, upper, warm_start, max_iters, spent=(0, 0, 0)):
+    def __init__(self, prep, lower, upper, warm_start, max_iters, deadline=None,
+                 spent=(0, 0, 0)):
         self.prep = prep
         self.max_iters = max_iters
+        self.deadline = deadline
         self.lo = prep.lo_template.copy()
         self.hi = prep.hi_template.copy()
         n = prep.n_struct
@@ -691,6 +713,11 @@ class _Run:
         self.pivots, self.iters, self.rechecks = spent
 
     # ----- state helpers ---------------------------------------------------
+
+    def _out_of_budget(self) -> bool:
+        """Whether the iteration budget or the deadline has run out."""
+        return self.iters >= self.max_iters or (
+            self.deadline is not None and time.perf_counter() >= self.deadline)
 
     def _factor(self, known=None) -> bool:
         """Factor the basis (``_Inverse.factor``); False if it is singular."""
@@ -874,7 +901,7 @@ class _Run:
         m = prep.m
         movable = self.lo < self.hi
         while True:
-            if self.iters >= self.max_iters:
+            if self._out_of_budget():
                 return ITERATION_LIMIT
             if self.drifted and not self._refactor(c):
                 return ITERATION_LIMIT
@@ -937,7 +964,7 @@ class _Run:
         free = np.flatnonzero(movable & (status == FREE_ZERO))
         self._refresh(c)
         while True:
-            if self.iters >= self.max_iters:
+            if self._out_of_budget():
                 return ITERATION_LIMIT
             if self.drifted and not self._refactor(c):
                 return ITERATION_LIMIT

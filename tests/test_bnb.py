@@ -3,13 +3,14 @@
 import contextlib
 import dataclasses
 import io
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from dedpoz import (ValidationError, build_milp1, build_milp2, evaluate_cost,
-                    evaluate_violations, solve_milp)
+                    evaluate_violations, load_instance, solve_milp)
 from dedpoz.bnb import (
     FEASIBLE_TIME_LIMIT,
     MILP_INFEASIBLE,
@@ -413,3 +414,31 @@ def test_loss_off_layout_solves_like_milp1():
                                    vm1.extract_schedule(b.values).p, rtol=0, atol=1e-9)
         branched += a.nodes_explored > 1
     assert branched >= 1
+
+
+def test_nodes_come_off_by_best_bound(monkeypatch):
+    # a node's bound is the objective of the LP whose basis it starts from,
+    # so in best-bound order the bounds of the warm-started LPs never fall;
+    # this case has open nodes of bounds 974.2930 and 974.2954, and a
+    # depth-first step that takes the second first breaks the order
+    instance = load_instance(Path(__file__).parent / "fixtures"
+                             / "small_batch_s101_seed100.json")
+    model, varmap = build_milp1(instance, tangent_steps=4)
+    objective_of = {}  # id of each basis an LP returned -> (basis, objective)
+    bounds = []
+    solve = PreparedLp.solve
+
+    def spy(prep, *args, **kwargs):
+        warm = kwargs.get("warm_start")
+        if warm is not None:
+            bounds.append(objective_of[id(warm)][1])
+        sol = solve(prep, *args, **kwargs)
+        if sol.basis is not None:
+            objective_of[id(sol.basis)] = (sol.basis, sol.objective)
+        return sol
+
+    monkeypatch.setattr(PreparedLp, "solve", spy)
+    sol = solve_milp(model, varmap, BnbConfig(gap=1e-4))
+    assert sol.status == OPTIMAL_WITHIN_GAP
+    assert sol.nodes_explored >= 4
+    assert bounds == sorted(bounds)

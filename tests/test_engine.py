@@ -10,6 +10,7 @@ from dedpoz import (
     IaConfig,
     InfeasibleError,
     LossModel,
+    SolveLimitError,
     SystemInstance,
     ValidationError,
     duplicate_system,
@@ -445,6 +446,14 @@ def test_paper_scale_fixture_meets_the_highs_optimum():
                                tol=1e-6).feasible
     assert (abs(report.surrogate_objective - DED_10X24_HIGHS_OBJECTIVE)
             <= config.gap * DED_10X24_HIGHS_OBJECTIVE)
+
+
+def test_time_limit_binds_inside_the_root_lp():
+    # the fixture's root LP alone runs well past 0.05 s, so the limit must
+    # stop it between pivots, before the search has any node to decide on
+    instance = load_instance(Path(__file__).parent / "fixtures" / "ded_10x24_seed1.json")
+    with pytest.raises(SolveLimitError):
+        solve_ded_no_loss(instance, IaConfig(time_limit_s=0.05))
 
 
 # answers of the refinement loop on tests/fixtures/lossy_refine_l0_seed11.json

@@ -1,6 +1,7 @@
 """LP solver tests against exhaustive vertex enumeration and hand cases."""
 
 import dataclasses
+import time
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -194,17 +195,51 @@ def test_binaries_must_be_relaxed_first():
     assert solve_lp(lp_relaxation(model)).status == OPTIMAL
 
 
+def three_equalities():
+    return lp([(0.0, 10.0), (0.0, 10.0), (0.0, 10.0)],
+              [([(0, 1.0), (1, 1.0)], EQ, 6.0),
+               ([(1, 1.0), (2, 1.0)], EQ, 7.0),
+               ([(0, 1.0), (2, 1.0)], EQ, 5.0)],
+              [(0, 1.0), (1, 2.0), (2, 3.0)])
+
+
 def test_iteration_limit_status():
-    model = lp([(0.0, 10.0), (0.0, 10.0), (0.0, 10.0)],
-               [([(0, 1.0), (1, 1.0)], EQ, 6.0),
-                ([(1, 1.0), (2, 1.0)], EQ, 7.0),
-                ([(0, 1.0), (2, 1.0)], EQ, 5.0)],
-               [(0, 1.0), (1, 2.0), (2, 3.0)])
+    model = three_equalities()
     sol = PreparedLp(model).solve(max_iters=1)
     assert sol.status == ITERATION_LIMIT
     full = solve_lp(model)
     assert full.status == OPTIMAL
     np.testing.assert_allclose(full.values, [2.0, 4.0, 3.0], atol=1e-8)
+
+
+def test_a_passed_deadline_ends_the_solve_before_its_first_pivot():
+    model = three_equalities()
+    sol = PreparedLp(model).solve(deadline=time.perf_counter())
+    assert sol.status == ITERATION_LIMIT and sol.iterations == 0
+    later = PreparedLp(model).solve(deadline=time.perf_counter() + 60.0)
+    assert later.status == OPTIMAL
+    np.testing.assert_allclose(later.values, [2.0, 4.0, 3.0], atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [
+    {"lower": np.zeros(2)},
+    {"upper": np.full((3, 1), 10.0)},
+    {"lower": [0.0, np.nan, 0.0]},
+    {"upper": [10.0, 10.0, np.nan]},
+    {"max_iters": np.nan},
+    {"max_iters": 2.5},
+    {"max_iters": True},
+    {"max_iters": "10"},
+    {"max_iters": -1},
+], ids=["lower-short", "upper-2d", "lower-nan", "upper-nan", "iters-nan",
+        "iters-float", "iters-bool", "iters-str", "iters-negative"])
+def test_bad_solve_input_is_a_validation_error(bad):
+    model = three_equalities()
+    with pytest.raises(ValidationError):
+        PreparedLp(model).solve(**bad)
+    if "max_iters" in bad:
+        with pytest.raises(ValidationError):
+            solve_lp(model, **bad)
 
 
 def test_warm_restart_needs_no_pivots():
